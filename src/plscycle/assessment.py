@@ -154,14 +154,15 @@ def assess(fit: PlsFit, data: PreparedData, boot=None) -> ReliabilityReport:
         indicator_names = data.columns[lo:hi]
         p = block.shape[1]
 
-        if mode in UNIT_MODES or p < 2:
-            flag = FLAG_EXEMPT
+        exempt = mode in UNIT_MODES or p < 2
+        if exempt or mode == "formative":
+            flag = FLAG_EXEMPT if exempt else FLAG_NA
             indicators = tuple(
                 IndicatorReliability(
                     indicator=col,
                     loading=float(lam[j]),
                     ci=_indicator_ci(boot, name, col),
-                    flag=FLAG_EXEMPT,
+                    flag=flag,
                 )
                 for j, col in enumerate(indicator_names)
             )
@@ -171,26 +172,6 @@ def assess(fit: PlsFit, data: PreparedData, boot=None) -> ReliabilityReport:
                     composite_reliability=None, dijkstra_rho_a=None, ave=None,
                     eig1=None, eig2=None, indicators=indicators,
                     flags={key: flag for key in _INDEX_NAMES},
-                )
-            )
-            continue
-
-        if mode == "formative":
-            indicators = tuple(
-                IndicatorReliability(
-                    indicator=col,
-                    loading=float(lam[j]),
-                    ci=_indicator_ci(boot, name, col),
-                    flag=FLAG_NA,
-                )
-                for j, col in enumerate(indicator_names)
-            )
-            rows.append(
-                ConstructReliability(
-                    construct=name, mode=mode, alpha=None,
-                    composite_reliability=None, dijkstra_rho_a=None, ave=None,
-                    eig1=None, eig2=None, indicators=indicators,
-                    flags={key: FLAG_NA for key in _INDEX_NAMES},
                 )
             )
             continue

@@ -10,14 +10,13 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .dataset import PreparedData
+from .dataset import Moments, PreparedData
 from .errors import EstimationError, ModelError
 from .modelspec import BlockSpec, ModelSpec, PathSpec, validate_model
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
@@ -82,7 +81,7 @@ def _guard_cyclic(spec: ModelSpec) -> None:
 
 
 def estimate_cyclic(
-    data: PreparedData,
+    data: PreparedData | Moments,
     fit: PlsFit,
     spec: ModelSpec,
     tol: float = DEFAULT_TOL,
@@ -90,12 +89,13 @@ def estimate_cyclic(
 ) -> CyclicFit:
     """Fit the step-2 feedback model and pair coefficients with step-1 mirrors.
 
-    The step-1 source score joins the prepared matrix as a new column; target
-    blocks reuse their prepared columns (an mca-single-item target is its
-    collapsed score column). Pairing uses the direct sequential edge target ->
-    source when present; otherwise the pair is left without a mirror and the
-    reinforcement test for it is skipped downstream. Never mutates the step-1
-    fit or the input data.
+    The step-1 source score joins the indicator correlation matrix as a new
+    row and column; target blocks reuse their prepared columns (an
+    mca-single-item target is its collapsed score column). On moments alone
+    the step-2 fit builds no scores. Pairing uses the direct sequential edge
+    target -> source when present; otherwise the pair is left without a
+    mirror and the reinforcement test for it is skipped downstream. Never
+    mutates the step-1 fit or the input data.
     """
     _guard_cyclic(spec)
     assert spec.cyclic is not None
@@ -105,17 +105,19 @@ def estimate_cyclic(
     if column in data.columns:
         raise EstimationError(f"column name '{column}' collides with a data column")
 
-    width = data.matrix.shape[1]
-    matrix = np.column_stack([data.matrix, fit.score(source)])
-    block_index = {source: (width, width + 1)}
-    for target in spec.cyclic.targets:
-        block_index[target] = data.block_index[target]
-    step2_data = dataclasses.replace(
-        data,
-        matrix=matrix,
-        block_index=block_index,
-        columns=data.columns + (column,),
-    )
+    # extend R by the step-1 source score: its covariance with every column is
+    # R[:, source] w_source, and its own variance is w_source' R w_source
+    moments = data if isinstance(data, Moments) else data.moments()
+    lo, hi = moments.block_index[source]
+    weights = fit.weights[source]
+    cov = moments.corr[:, lo:hi] @ weights
+    corr = np.block([[moments.corr, cov[:, None]], [cov, np.atleast_2d(cov[lo:hi] @ weights)]])
+    targets = spec.cyclic.targets
+    block_index = {source: (len(cov), len(cov) + 1), **{t: moments.block_index[t] for t in targets}}
+    rows = None
+    if moments.rows is not None:
+        rows = {source: fit.score(source)[:, None], **{t: moments.rows[t] for t in targets}}
+    step2_data = Moments(corr, block_index, moments.columns + (column,), rows)
     step2_fit = fit_pls(step2_data, step2_spec, tol=tol, max_iter=max_iter)
     if not step2_fit.converged:
         raise EstimationError(

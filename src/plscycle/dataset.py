@@ -55,6 +55,26 @@ class PreparedData:
         lo, hi = self.block_index[name]
         return self.matrix[:, lo:hi]
 
+    def moments(self) -> Moments:
+        """Cross-product moments X'X/n of the standardized matrix, with its rows."""
+        rows = {name: self.block_matrix(name) for name in self.block_index}
+        corr = self.matrix.T @ self.matrix / self.matrix.shape[0]
+        return Moments(corr, self.block_index, self.columns, rows)
+
+
+@dataclass(frozen=True)
+class Moments:
+    """Correlation matrix of standardized indicator columns, with their layout.
+
+    ``rows`` maps a construct to its block's n-row matrix when the rows are
+    at hand; a fit without them (a bootstrap replicate) builds no scores.
+    """
+
+    corr: np.ndarray
+    block_index: dict[str, tuple[int, int]]
+    columns: tuple[str, ...]
+    rows: dict[str, np.ndarray] | None = None
+
 
 def load_table(path: str) -> RawTable:
     """Read a comma-separated UTF-8 table with a mandatory header row.

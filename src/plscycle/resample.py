@@ -1,10 +1,11 @@
 """Bootstrap standard errors and percentile confidence intervals.
 
-Each replicate draws rows with replacement, re-standardizes the resampled
-columns, and re-runs the full pipeline: the PLS fit and, when the model has a
-cyclic section, both steps of the feedback estimator. Replicate weight
-vectors are sign-aligned against the original sample before anything is
-recorded, preventing the arbitrary orientation of composite scores from
+Each replicate draws rows with replacement and re-runs the full pipeline on
+the resample's indicator correlation matrix, computed from count-weighted
+moments of the drawn rows without copying them: the PLS fit and, when the
+model has a cyclic section, both steps of the feedback estimator. Replicate
+weight vectors are sign-aligned against the original sample before anything
+is recorded, preventing the arbitrary orientation of composite scores from
 inflating the spread. Replicate r draws from a counter-based generator keyed
 by (seed, r), so results do not depend on execution order.
 """
@@ -13,12 +14,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cyclic import CyclicFit, estimate_cyclic
-from .dataset import PreparedData
+from .dataset import Moments, PreparedData
 from .errors import DataError, EstimationError
 from .modelspec import ModelSpec
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
@@ -80,12 +83,20 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _restandardize(matrix: np.ndarray) -> np.ndarray:
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)
+def _resampled_moments(data: PreparedData, counts: np.ndarray) -> Moments:
+    """Correlation matrix of the rows drawn ``counts`` times each.
+
+    Centring before squaring leaves a column that the draw made constant with
+    zero variance up to rounding, as in the resampled rows themselves.
+    """
+    n = len(counts)
+    centred = data.matrix - counts @ data.matrix / n
+    centred *= np.sqrt(counts)[:, None]
+    cov = centred.T @ centred / n
+    std = np.sqrt(np.diag(cov))
     if np.any(std <= 1e-12):
         raise DataError("zero variance in a resampled column")
-    return (matrix - mean) / std
+    return Moments(cov / np.outer(std, std), data.block_index, data.columns)
 
 
 def _aligned_fit(fit: PlsFit, reference: dict[str, np.ndarray]) -> PlsFit:
@@ -96,14 +107,21 @@ def _aligned_fit(fit: PlsFit, reference: dict[str, np.ndarray]) -> PlsFit:
     }
     if all(f == 1.0 for f in flips.values()):
         return fit
-    flip_vec = np.array([flips[name] for name in fit.constructs])
     return dataclasses.replace(
         fit,
         weights={n: fit.weights[n] * flips[n] for n in fit.constructs},
-        scores=fit.scores * flip_vec,
         loadings={n: fit.loadings[n] * flips[n] for n in fit.constructs},
         paths={(s, t): v * flips[s] * flips[t] for (s, t), v in fit.paths.items()},
     )
+
+
+def _loadings_by_column(fit: PlsFit, data: PreparedData) -> dict[tuple[str, str], float]:
+    """Each loading keyed by (construct, indicator column)."""
+    return {
+        (name, col): float(fit.loadings[name][j])
+        for name in fit.constructs
+        for j, col in enumerate(data.columns[slice(*data.block_index[name])])
+    }
 
 
 def _collect(
@@ -137,7 +155,8 @@ def bootstrap(
     Point estimates always come from the original sample and are never
     altered here. Replicates that fail (singular systems, degenerate
     resampled columns, step-2 failures) are skipped and counted; a failure
-    rate above 5% raises EstimationError with the last failure's diagnostic.
+    rate above 5% raises EstimationError with a tally of the failures by
+    reason and the last failure's diagnostic.
     Deterministic given the seed.
     """
     if b < MIN_REPLICATES:
@@ -156,23 +175,18 @@ def bootstrap(
 
     n = data.matrix.shape[0]
     path_reps: dict[tuple[str, str], list[float]] = {k: [] for k in fit0.paths}
-    loading_reps: dict[tuple[str, str], list[float]] = {}
-    for name in fit0.constructs:
-        lo, hi = data.block_index[name]
-        for col in data.columns[lo:hi]:
-            loading_reps[(name, col)] = []
+    loading_estimates = _loadings_by_column(fit0, data)
+    loading_reps: dict[tuple[str, str], list[float]] = {k: [] for k in loading_estimates}
     cyclic_reps: dict[tuple[str, str], list[float]] = (
         {k: [] for k in cyc0.cyclic_paths} if cyc0 is not None else {}
     )
 
-    failures = 0
+    reasons: Counter[str] = Counter()
     last_failure = ""
     for r in range(b):
-        rng = _replicate_rng(seed, r)
-        idx = rng.integers(0, n, size=n)
+        idx = _replicate_rng(seed, r).integers(0, n, size=n)
         try:
-            matrix = _restandardize(data.matrix[idx])
-            rep_data = dataclasses.replace(data, matrix=matrix)
+            rep_data = _resampled_moments(data, np.bincount(idx, minlength=n))
             rep_fit = fit_pls(rep_data, spec, tol=tol, max_iter=max_iter)
             if not rep_fit.converged:
                 raise EstimationError("replicate weights did not converge")
@@ -182,30 +196,24 @@ def bootstrap(
                 rep_cyc = estimate_cyclic(rep_data, rep_fit, spec, tol=tol, max_iter=max_iter)
                 step2 = _aligned_fit(rep_cyc.step2_fit, cyc0.step2_fit.weights)
         except (DataError, EstimationError, np.linalg.LinAlgError) as exc:
-            failures += 1
             last_failure = str(exc)
+            reasons[re.split(r":| in ", last_failure, maxsplit=1)[0]] += 1  # leading clause
             continue
         for key in path_reps:
             path_reps[key].append(rep_fit.paths[key])
-        for name in rep_fit.constructs:
-            lo, hi = data.block_index[name]
-            for j, col in enumerate(data.columns[lo:hi]):
-                loading_reps[(name, col)].append(float(rep_fit.loadings[name][j]))
+        for key, value in _loadings_by_column(rep_fit, data).items():
+            loading_reps[key].append(value)
         if rep_cyc is not None:
             for key in cyclic_reps:
                 cyclic_reps[key].append(step2.paths[key])
 
+    failures = reasons.total()
     if failures > MAX_FAILURE_RATE * b:
+        tally = ", ".join(f"{reason} {count}" for reason, count in reasons.items())
         raise EstimationError(
-            f"bootstrap failure rate {failures}/{b} exceeds "
-            f"{MAX_FAILURE_RATE:.0%}; last failure: {last_failure}"
+            f"bootstrap failure rate {failures}/{b} exceeds {MAX_FAILURE_RATE:.0%}; "
+            f"failures: {tally}; last failure: {last_failure}"
         )
-
-    loading_estimates = {}
-    for name in fit0.constructs:
-        lo, hi = data.block_index[name]
-        for j, col in enumerate(data.columns[lo:hi]):
-            loading_estimates[(name, col)] = float(fit0.loadings[name][j])
 
     return BootstrapResult(
         b_requested=b,

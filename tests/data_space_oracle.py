@@ -1,0 +1,108 @@
+"""Data-space reference for the moment-space estimator.
+
+The PLS fixed point as it runs on the standardized row matrix: scores are
+recomputed from the rows in every iteration, loadings are indicator-score
+correlations, and each bootstrap replicate re-standardizes its resampled
+rows. The differential tests hold the library to these within 1e-10.
+"""
+
+import types
+
+import numpy as np
+
+from plscycle.cyclic import build_feedback_model
+from plscycle.errors import DataError, EstimationError
+from plscycle.modelspec import UNIT_MODES
+from plscycle.plscore import _inner_weights, path_coefficients
+from plscycle.resample import _replicate_rng
+
+
+def fit(matrix, block_index, spec, tol=1e-6, max_iter=300):
+    """Weights, scores, loadings, paths, R squared and convergence, as a dict."""
+    names = spec.block_names()
+    index = {name: i for i, name in enumerate(names)}
+    blocks = [matrix[:, slice(*block_index[name])] for name in names]
+    modes = [block.mode for block in spec.blocks]
+    preds = [[index[p] for p in spec.predecessors(name)] for name in names]
+    succs = [[index[s] for s in spec.successors(name)] for name in names]
+    n = matrix.shape[0]
+    for i, name in enumerate(names):
+        if modes[i] == "formative" and np.linalg.cond(blocks[i].T @ blocks[i] / n) > 1e12:
+            raise EstimationError(f"singular system in formative block '{name}'")
+
+    def settle(i, w):  # unit score variance, then a non-negative loading sum
+        std = (blocks[i] @ w).std()
+        if std <= 1e-12:
+            raise EstimationError(f"degenerate score variance in block '{names[i]}'")
+        w = w / std
+        if modes[i] not in UNIT_MODES and (blocks[i].T @ (blocks[i] @ w)).sum() < 0:
+            return -w
+        return w
+
+    weights = [settle(i, np.ones(block.shape[1])) for i, block in enumerate(blocks)]
+    converged = False
+    for _ in range(max_iter):
+        scores = np.column_stack([block @ w for block, w in zip(blocks, weights)])
+        e = _inner_weights(scores.T @ scores / n, spec.scheme, preds, succs, names)
+        proxies = scores @ e.T
+        new = list(weights)
+        for i, block in enumerate(blocks):
+            if modes[i] not in UNIT_MODES:
+                cov = block.T @ proxies[:, i] / n
+                w = np.linalg.solve(block.T @ block / n, cov) if modes[i] == "formative" else cov
+                new[i] = settle(i, w)
+        delta = max(float(np.max(np.abs(a - b))) for a, b in zip(new, weights))
+        weights = new
+        if delta < tol:
+            converged = True
+            break
+    scores = np.column_stack([block @ w for block, w in zip(blocks, weights)])
+    loadings = {
+        name: np.corrcoef(np.column_stack([block, scores[:, i]]), rowvar=False)[:-1, -1]
+        for i, (name, block) in enumerate(zip(names, blocks))
+    }
+    paths, r_squared = path_coefficients(scores, spec, names)
+    return {"weights": dict(zip(names, weights)), "scores": scores, "loadings": loadings,
+            "paths": paths, "r_squared": r_squared, "converged": converged}
+
+
+def _aligned(f, reference):
+    flips = {name: -1.0 if w @ reference["weights"][name] < 0 else 1.0
+             for name, w in f["weights"].items()}
+    return {**f, "scores": f["scores"] * np.array(list(flips.values())),
+            "loadings": {name: lam * flips[name] for name, lam in f["loadings"].items()},
+            "paths": {(s, t): v * flips[s] * flips[t] for (s, t), v in f["paths"].items()}}
+
+
+def replicates(data, spec, b, seed=0, tol=1e-6, max_iter=300):
+    """Per-replicate (paths, loadings, cyclic paths) or failure message, in order."""
+    ref = fit(data.matrix, data.block_index, spec, tol, max_iter)
+    if spec.cyclic is not None:
+        source, width = spec.cyclic.source, data.matrix.shape[1]
+        step2_spec = build_feedback_model(types.SimpleNamespace(constructs=spec.block_names()), spec)
+        index2 = {source: (width, width + 1), **{t: data.block_index[t] for t in spec.cyclic.targets}}
+        score = ref["scores"][:, spec.block_names().index(source)]
+        ref2 = fit(np.column_stack([data.matrix, score]), index2, step2_spec, tol, max_iter)
+    n = data.matrix.shape[0]
+    out = []
+    for r in range(b):
+        x = data.matrix[_replicate_rng(seed, r).integers(0, n, size=n)]
+        try:
+            if np.any(x.std(axis=0) <= 1e-12):
+                raise DataError("zero variance in a resampled column")
+            x = (x - x.mean(axis=0)) / x.std(axis=0)
+            f = fit(x, data.block_index, spec, tol, max_iter)
+            if not f["converged"]:
+                raise EstimationError("replicate weights did not converge")
+            f, cyclic = _aligned(f, ref), {}
+            if spec.cyclic is not None:
+                score = f["scores"][:, spec.block_names().index(source)]
+                g = fit(np.column_stack([x, score]), index2, step2_spec, tol, max_iter)
+                if not g["converged"]:
+                    raise EstimationError(f"step-2 estimation did not converge in {max_iter} iterations")
+                cyclic = _aligned(g, ref2)["paths"]
+        except (DataError, EstimationError, np.linalg.LinAlgError) as exc:
+            out.append(str(exc))
+            continue
+        out.append((f["paths"], f["loadings"], cyclic))
+    return out
