@@ -42,6 +42,8 @@ from .simgen import (
 )
 
 _FORMATS = ("json", "text", "both")
+# data rows formatted per write by ``simulate``
+_WRITE_ROWS = 8192
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, cyclic: bool) -> None:
@@ -253,9 +255,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         pop = dataclasses.replace(pop, seed=args.seed)
     table = gen_acyclic(pop) if kind == "acyclic" else gen_cyclic_equilibrium(pop)
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(table.values.tolist())
+        csv.writer(handle, lineterminator="\n").writerow(table.header)
+        # the body is what csv.writer would write: a float's str is its repr,
+        # which never needs quoting; chunks keep the Python floats few
+        for start in range(0, len(table.values), _WRITE_ROWS):
+            rows = table.values[start:start + _WRITE_ROWS].tolist()
+            handle.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     truth = population_truth(pop, kind)
     sidecar = Path(args.out).with_suffix(".truth.json")
     sidecar.write_text(

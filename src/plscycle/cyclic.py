@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .dataset import Moments, PreparedData
 from .errors import EstimationError, ModelError
@@ -174,14 +173,19 @@ def reinforcement_test(
     # guard the floor against float rounding at integer boundaries, so the
     # equal-sigma case lands exactly on 2(n-1)
     df = max(1, int(math.floor(ratio * (1.0 + 1e-12) + 1e-9)))
+    # stdtr(df, -x) is how scipy.stats.t.sf(x, df) computes the upper tail;
+    # importing scipy.special here, and not scipy.stats at module level, keeps
+    # about a second of imports out of every process that runs no test
+    from scipy.special import stdtr
+
     if direction == "two_sided":
-        p = float(2.0 * stats.t.sf(t, df))
+        p = float(2.0 * stdtr(df, -t))
     elif direction == "ce_gt_se":
         signed = (beta_ce - beta_se) / math.sqrt(pooled)
-        p = float(stats.t.sf(signed, df))
+        p = float(stdtr(df, -signed))
     else:
         signed = (beta_se - beta_ce) / math.sqrt(pooled)
-        p = float(stats.t.sf(signed, df))
+        p = float(stdtr(df, -signed))
     decision = "reject" if p < ALPHA else "retain"
     return TestResult(
         t_statistic=float(t), df=df, p_value=p, direction=direction, decision=decision

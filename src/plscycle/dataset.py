@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,23 +83,91 @@ def load_table(path: str) -> RawTable:
     Empty cells and the token ``NA`` become missing values. Raises
     DataFileError for unreadable files, ragged rows (reported with their line
     number), duplicate column names, and non-numeric cells.
+
+    A body with no quote, no carriage return and no ``NA`` is parsed in one
+    vectorized pass; anything that pass cannot take as it is (a missing cell,
+    a blank line, a bad or non-finite number) goes to the row-by-row reader,
+    which yields the same values and every diagnostic.
     """
+    with _open_table(path) as handle:
+        header = _read_header(csv.reader(handle), path)
+    values = _parse_plain(path, len(header))
+    if values is None:
+        return _load_rows(path)
+    return RawTable(header=header, values=values)
+
+
+def _open_table(path: str):
     try:
-        handle = open(path, newline="", encoding="utf-8-sig")
+        return open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFileError(f"cannot read '{path}': {exc.strerror or exc}") from exc
-    with handle:
+
+
+def _read_header(reader, path: str) -> tuple[str, ...]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFileError(f"'{path}' is empty, header row required") from None
+    header = tuple(name.strip() for name in header)
+    if any(not name for name in header):
+        raise DataFileError(f"'{path}' has an empty column name in the header")
+    if len(set(header)) != len(header):
+        dupe = next(n for i, n in enumerate(header) if n in header[:i])
+        raise DataFileError(f"duplicate column name '{dupe}' in '{path}'")
+    return header
+
+
+def _plain_body_rows(path: str) -> int | None:
+    """Body line count, or None if the file has a quote, a CR or an NA in its body.
+
+    A header may hold ``NA`` inside a column name; a quote there could span
+    lines, so it sends the whole file to the row-by-row reader.
+    """
+    with open(path, "rb") as handle:
+        first = handle.readline()
+        if b'"' in first or b"\r" in first:
+            return None
+        lines, last = 0, b"\n"
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            if b'"' in chunk or b"\r" in chunk or b"NA" in last + chunk:
+                return None
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")  # a last line may lack its newline
+
+
+def _parse_plain(path: str, width: int) -> np.ndarray | None:
+    """The body as an (n, width) array of finite floats, or None to fall back.
+
+    ``np.loadtxt`` gives the value ``float`` gives for every cell it accepts,
+    but it also accepts ``nan`` and ``inf`` and skips blank lines, so the
+    result stands only if every value is finite and every body line gave a
+    row. It reads the path itself: a decoded copy of the body would take four
+    bytes per character.
+    """
+    rows = _plain_body_rows(path)
+    if rows is None or rows < 2:
+        return None
+    try:
+        with warnings.catch_warnings():
+            # a body of blank lines warns "no data"; the shape check rejects it
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8-sig"
+            )
+    except ValueError:
+        return None
+    if values.shape != (rows, width) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _load_rows(path: str) -> RawTable:
+    """Row-by-row reader: the reference parse, with line-numbered diagnostics."""
+    with _open_table(path) as handle:
         reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFileError(f"'{path}' is empty, header row required") from None
-        header = tuple(name.strip() for name in header)
-        if any(not name for name in header):
-            raise DataFileError(f"'{path}' has an empty column name in the header")
-        if len(set(header)) != len(header):
-            dupe = next(n for i, n in enumerate(header) if n in header[:i])
-            raise DataFileError(f"duplicate column name '{dupe}' in '{path}'")
+        header = _read_header(reader, path)
         width = len(header)
         rows: list[list[float]] = []
         for record in reader:

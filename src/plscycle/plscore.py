@@ -58,7 +58,11 @@ def _solve_ols(corr: np.ndarray, pred: list[int], target: int, label: str) -> np
     """Standardized OLS coefficients from a correlation matrix."""
     a = corr[np.ix_(pred, pred)]
     b = corr[pred, target]
-    if np.linalg.cond(a) > _COND_LIMIT:
+    if len(pred) == 1 and math.isfinite(a[0, 0]):
+        singular = a[0, 0] == 0.0  # a 1x1 condition number is 1, or inf at zero
+    else:
+        singular = np.linalg.cond(a) > _COND_LIMIT
+    if singular:
         raise EstimationError(f"singular system: collinear predecessors of '{label}'")
     return np.linalg.solve(a, b)
 

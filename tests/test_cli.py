@@ -1,10 +1,18 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from plscycle import __version__
+import plscycle
+from plscycle import __version__, cli
 from plscycle.cli import main
+from plscycle.dataset import RawTable
 
 from conftest import exact_correlation_sample
 
@@ -249,6 +257,54 @@ def test_simulate_is_deterministic(tmp_path, capsys):
     truth = json.loads(outputs[0][1])
     assert truth["kind"] == "acyclic"
     assert truth["n"] == 60
+
+
+def test_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((2 * cli._WRITE_ROWS + 5, 3))
+    values[:, 1] *= 1e-5  # scientific-notation reprs
+    values[:6, 2] = [-0.0, 0.0, 5e-324, 1e16, -1.5e300, 1 / 3]
+    table = RawTable(header=("a", "b,c", 'q"d'), values=values)
+    monkeypatch.setattr(cli, "gen_acyclic", lambda pop: table)
+    out = tmp_path / "sim.csv"
+    pop = write_model(tmp_path, POPULATION, name="pop.json")
+    assert main(["simulate", "--population", pop, "--out", str(out)]) == 0
+    capsys.readouterr()
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(table.header)
+    writer.writerows(values.tolist())
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == 'a,"b,c","q""d"'
+    assert lines[1].endswith(",-0.0") and "e-" in lines[1]
+
+
+def test_startup_and_simulate_load_no_scipy(tmp_path):
+    pop = write_model(tmp_path, POPULATION, name="pop.json")
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import plscycle.cli\n"
+        "seen = {'import': scipy_modules()}\n"
+        "assert plscycle.cli.main(['simulate', '--population', sys.argv[1],"
+        " '--out', sys.argv[2]]) == 0\n"
+        "seen['simulate'] = scipy_modules()\n"
+        "plscycle.cli.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
+        "seen['test'] = scipy_modules()\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(Path(plscycle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, pop, str(tmp_path / "sim.csv")],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["simulate"] == []
+    # the tail probability is the first thing to need scipy, and not scipy.stats
+    assert "scipy.special" in seen["test"] and "scipy.stats" not in seen["test"]
 
 
 def test_simulate_seed_flag_overrides_document(tmp_path, capsys):

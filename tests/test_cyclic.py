@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plscycle import (
+    DIRECTIONS,
     EstimationError,
     ModelError,
     build_feedback_model,
@@ -97,6 +98,26 @@ def test_result_invariants(beta_se, beta_ce, sigma_se, sigma_ce, n, direction):
     # Welch df never exceeds the equal-sigma ceiling
     assert result.df <= 2 * (n - 1)
     assert result.decision == ("reject" if result.p_value < 0.05 else "retain")
+
+
+def test_p_values_equal_scipy_stats_t_sf_bit_for_bit():
+    from scipy import stats  # the oracle; the package computes the tail without it
+
+    dfs = set()
+    for n in (2, 3, 11, 1_000, 150_001):
+        for sigma_ce in (0.01, 0.012, 0.05, 1.0):
+            for beta_ce in (0.3, 0.3001, 0.31, 0.5, 0.9, 0.1, -0.6):
+                for direction in DIRECTIONS:
+                    result = reinforcement_test(0.3, beta_ce, 0.01, sigma_ce, n, direction)
+                    t = result.t_statistic
+                    if direction == "two_sided":
+                        expected = float(2.0 * stats.t.sf(t, result.df))
+                    else:
+                        diff = beta_ce - 0.3 if direction == "ce_gt_se" else 0.3 - beta_ce
+                        expected = float(stats.t.sf(math.copysign(t, diff), result.df))
+                    assert result.p_value == expected, (n, sigma_ce, beta_ce, direction)
+                    dfs.add(result.df)
+    assert min(dfs) == 1 and max(dfs) == 300_000
 
 
 def test_reinforcement_argument_validation():

@@ -1,3 +1,6 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +17,7 @@ from plscycle import (
     prepare_blocks,
     standardize_column,
 )
+from plscycle import dataset
 
 # rows {111, 110, 100, 011, 001, 000}; leading principal inertias tie at 4/9
 MCA_FIXTURE = np.array(
@@ -74,6 +78,113 @@ def test_header_required_and_two_data_rows_minimum(tmp_path):
 def test_unreadable_path_reports_filename():
     with pytest.raises(DataFileError, match="cannot read"):
         load_table("/no/such/file.csv")
+
+
+# inputs the vectorized parse must either decline or read exactly as the
+# row-by-row reader does
+READER_CORPUS = {
+    "blank line mid-file": "a,b\n1,2\n\n3,4\n5,6\n",
+    "trailing blank line": "a,b\n1,2\n3,4\n\n",
+    "trailing comma": "a,b\n1,2,\n3,4,\n",
+    "short row": "a,b\n1,2\n3\n5,6\n",
+    "long rows": "a,b\n1,2,3\n4,5,6\n",
+    "crlf": "a,b\r\n1,2\r\n3,4\r\n",
+    "byte order mark": "\ufeffa,b\n1,2\n3,4\n",
+    "quoted numeric cell": 'a,b\n1,"2"\n3,4\n',
+    "nan": "a,b\n1,2\nnan,4\n",
+    "inf": "a,b\n1,inf\n3,4\n",
+    "overflow": "a,b\n1,1e400\n3,4\n",
+    "underscore digits": "a,b\n1_000,2\n3,4\n",
+    "arabic-indic digit": "a,b\n\u0661,2\n3,4\n",
+    "tab-padded cells": "a,b\n\t1,2\t\n 3 ,\t4 \n",
+    "whitespace-only cell": "a,b\n1, \n3,4\n",
+    "whitespace-only line": "a\n1\n  \n3\n",
+    "missing final newline": "a,b\n1,2\n3,4",
+    "one row": "a,b\n1,2\n",
+    "header only": "a,b\n",
+    "blank lines only": "a,b\n\n\n",
+    "header without newline": "a,b",
+    "missing tokens": "a,b\n1,NA\n,4\n5,6\n",
+    "NA in a column name": "NAME,b\n1,2\n3,4\n",
+    "hex": "a,b\n0x10,2\n3,4\n",
+    "scientific and subnormal": "a,b\n1e-05,-0.0\n5e-324,1.7976931348623157e+308\n",
+    "single column": "a\n1\n2\n3\n",
+}
+
+
+def load_or_message(load, path):
+    """Header, shape and value bytes, or the DataFileError message."""
+    try:
+        table = load(path)
+    except DataFileError as exc:
+        return str(exc)
+    return table.header, table.values.shape, table.values.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+def test_load_table_matches_row_reader_on_awkward_inputs(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_or_message(load_table, str(path)) == load_or_message(
+        dataset._load_rows, str(path)
+    )
+
+
+CELL = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.lists(
+            st.lists(
+                st.tuples(st.sampled_from(["", " ", "\t"]), CELL),
+                min_size=width,
+                max_size=width,
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    ),
+    st.booleans(),
+)
+def test_vectorized_parse_equals_row_reader(rows, final_newline):
+    width = len(rows[0])
+    lines = [",".join(f"c{j}" for j in range(width))]
+    lines += [",".join(pad + cell + pad for pad, cell in row) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\n".join(lines) + ("\n" if final_newline else ""))
+        reference = dataset._load_rows(path)
+        fast = dataset._parse_plain(path, width)
+        assert fast is not None
+        assert fast.tobytes() == reference.values.tobytes()
+        assert load_or_message(load_table, path) == load_or_message(dataset._load_rows, path)
+
+
+def test_only_plain_numeric_files_take_the_vectorized_parse(tmp_path, monkeypatch):
+    calls = []
+    rows = dataset._load_rows
+    monkeypatch.setattr(dataset, "_load_rows", lambda path: calls.append(path) or rows(path))
+    plain = write(tmp_path, "a,b\n1,2.5\n3e-7,-4\n", name="plain.csv")
+    missing = write(tmp_path, "a,b\n1,2.5\nNA,-4\n", name="missing.csv")
+    assert load_table(plain).values.tolist() == [[1.0, 2.5], [3e-7, -4.0]]
+    assert calls == []
+    assert np.isnan(load_table(missing).values[1, 0])
+    assert calls == [missing]
+
+
+def test_plain_scan_declines_quotes_crs_and_body_na(tmp_path):
+    assert dataset._plain_body_rows(write(tmp_path, "NA_a,b\n1,2\n3,4")) == 2
+    for body in ('1,"2"\n', "1,2\r\n", "1,NA\n"):
+        assert dataset._plain_body_rows(write(tmp_path, "a,b\n" + body)) is None
+    # the first read chunk (1 MiB) ends between the N and the A
+    path = write(tmp_path, "a\n" + "1\n" * 524287 + "xNA\n", name="big.csv")
+    assert dataset._plain_body_rows(path) is None
 
 
 def test_standardize_column_closed_form():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from plscycle import EstimationError, fit_pls, parse_model, prepare_blocks
+from plscycle import EstimationError, fit_pls, parse_model, plscore, prepare_blocks
 from plscycle.plscore import path_coefficients
 from plscycle.simgen import PopulationSpec, ConstructPopulation, gen_acyclic
 
@@ -340,3 +340,71 @@ def test_recovers_attenuated_population_values_on_synthetic_data():
     assert abs(fit.paths[("C1", "C2")] - expected[1]) < 0.03
     for name in fit.constructs:
         assert np.abs(fit.loadings[name] - plim_loading).max() < 0.03
+
+
+def _solve_ols_always_cond(corr, pred, target, label):
+    """The solver as it was before 1x1 systems skipped the SVD."""
+    a = corr[np.ix_(pred, pred)]
+    if np.linalg.cond(a) > plscore._COND_LIMIT:
+        raise EstimationError(f"singular system: collinear predecessors of '{label}'")
+    return np.linalg.solve(a, corr[pred, target])
+
+
+def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
+    # C1 has one predecessor, C2 two; the path scheme solves both every iteration
+    b = np.zeros((3, 3))
+    b[1, 0], b[2, 0], b[2, 1] = 0.5, 0.2, 0.6
+    pop = PopulationSpec(
+        constructs=tuple(
+            ConstructPopulation(name=f"C{i}", loadings=(0.8, 0.7, 0.6)) for i in range(3)
+        ),
+        b_matrix=b,
+        n=400,
+        seed=3,
+    )
+    spec = parse_model(
+        {
+            "blocks": [
+                {"name": f"C{i}", "indicators": [f"C{i}_{j}" for j in range(1, 4)]}
+                for i in range(3)
+            ],
+            "paths": [
+                {"source": "C0", "target": "C1"},
+                {"source": "C0", "target": "C2"},
+                {"source": "C1", "target": "C2"},
+            ],
+            "scheme": "path",
+        }
+    )
+    data = make_prepared(gen_acyclic(pop).values, spec)
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a.shape) or cond(a))
+
+    fit = fit_pls(data, spec)
+    fast_calls = list(calls)
+    calls.clear()
+    monkeypatch.setattr(plscore, "_solve_ols", _solve_ols_always_cond)
+    reference = fit_pls(data, spec)
+
+    assert fit.converged and fit.iterations == reference.iterations > 1
+    # one solve for C2 per iteration plus the final structural one
+    assert fast_calls == [(2, 2)] * (fit.iterations + 1)
+    assert sorted(calls) == sorted([(1, 1), (2, 2)] * (fit.iterations + 1))
+    for name in fit.constructs:
+        assert fit.weights[name].tobytes() == reference.weights[name].tobytes()
+        assert fit.loadings[name].tobytes() == reference.loadings[name].tobytes()
+    assert fit.paths == reference.paths
+    assert fit.r_squared == reference.r_squared
+    assert fit.scores.tobytes() == reference.scores.tobytes()
+
+
+def test_zero_one_by_one_system_still_raises():
+    corr = np.array([[0.0, 0.3], [0.3, 1.0]])
+    for solve in (plscore._solve_ols, _solve_ols_always_cond):
+        with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
+            solve(corr, [0], 1, "Y")
+    # a tiny nonzero entry has condition number 1: singular to neither solver
+    tiny = np.array([[5e-324, 0.5], [0.5, 1.0]])
+    assert plscore._solve_ols(tiny, [0], 1, "Y").tolist() == [np.inf]
+    assert _solve_ols_always_cond(tiny, [0], 1, "Y").tolist() == [np.inf]
