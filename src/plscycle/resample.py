@@ -1,13 +1,21 @@
 """Bootstrap standard errors and percentile confidence intervals.
 
 Each replicate draws rows with replacement and re-runs the full pipeline on
-the resample's indicator correlation matrix, computed from count-weighted
-moments of the drawn rows without copying them: the PLS fit and, when the
-model has a cyclic section, both steps of the feedback estimator. Replicate
-weight vectors are sign-aligned against the original sample before anything
-is recorded, preventing the arbitrary orientation of composite scores from
+the resample's indicator correlation matrix: the PLS fit and, when the model
+has a cyclic section, both steps of the feedback estimator. Replicate weight
+vectors are sign-aligned against the original sample before anything is
+recorded, preventing the arbitrary orientation of composite scores from
 inflating the spread. Replicate r draws from a counter-based generator keyed
 by (seed, r), so results do not depend on execution order.
+
+The drawn rows are never copied. A chunk of replicates keeps its per-row
+draw counts as one uint8 count matrix C (replicates x rows); for each block
+of rows, one GEMM multiplies C by the rows and their pairwise products
+x_i*x_j (i <= j), which sums every replicate's first and second moments at
+once, and each replicate's covariance is then M2/n - m m'. A replicate with
+a nearly constant column, or a row drawn more than 255 times, takes the
+exact centred moments of ``_resampled_moments`` instead, which make every
+zero-variance decision.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ import dataclasses
 import math
 import re
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +37,19 @@ from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
 
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
+
+# Memory bound of a chunk's uint8 count matrix, and of one row block's
+# products and float counts (a block that stays in cache is the fastest).
+_COUNT_BUFFER_BYTES = 16 << 20
+_ROW_BLOCK_BYTES = 1 << 19
+
+# A replicate goes to the exact path when a column's batched variance is at
+# or below this share of max(its mean square, 1). The batched variance sums
+# non-negative terms, so it is off by at most about 3*n*eps of that scale
+# (under 7e-8 for n below 1e8). A replicate that stays batched thus has every
+# variance above 0.999e-3, far from the exact path's std <= 1e-12 test, and
+# M2/n - m m' loses at most three digits to cancellation.
+_VARIANCE_CUT = 1e-3
 
 _UINT64_MASK = (1 << 64) - 1
 
@@ -45,7 +67,11 @@ class CoefficientStats:
 
 @dataclass(frozen=True)
 class BootstrapResult:
-    """Per-coefficient bootstrap summaries over B replicates."""
+    """Per-coefficient bootstrap summaries over B replicates.
+
+    ``failure_reasons`` counts the failed replicates by the leading clause of
+    their message, e.g. ``{"zero variance": 3}``.
+    """
 
     b_requested: int
     b_effective: int
@@ -55,6 +81,7 @@ class BootstrapResult:
     paths: dict[tuple[str, str], CoefficientStats]
     loadings: dict[tuple[str, str], CoefficientStats]
     cyclic_paths: dict[tuple[str, str], CoefficientStats]
+    failure_reasons: dict[str, int]
 
 
 def percentile_ci(replicates: np.ndarray, level: float) -> tuple[float, float]:
@@ -97,6 +124,56 @@ def _resampled_moments(data: PreparedData, counts: np.ndarray) -> Moments:
     if np.any(std <= 1e-12):
         raise DataError("zero variance in a resampled column")
     return Moments(cov / np.outer(std, std), data.block_index, data.columns)
+
+
+def _batched_correlations(data: PreparedData, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation matrices for each row of ``counts``, and which of them hold.
+
+    A replicate whose smallest column variance is not clearly above rounding
+    is marked as not holding; its matrix is then meaningless.
+    """
+    x = data.matrix
+    n, p = x.shape
+    upper = np.triu_indices(p)
+    width = p + len(upper[0])
+    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + len(counts))))
+    sums = np.zeros((len(counts), width))
+    block = np.empty((min(rows, n), width))
+    for lo in range(0, n, rows):
+        xb = x[lo:lo + rows]
+        zb = block[: len(xb)]
+        zb[:, :p] = xb
+        np.multiply(xb[:, upper[0]], xb[:, upper[1]], out=zb[:, p:])
+        sums += counts[:, lo:lo + rows] @ zb
+    sums /= n
+    cov = np.empty((len(counts), p, p))
+    cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = sums[:, p:]
+    scale = np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1.0)
+    cov -= sums[:, :p, None] * sums[:, None, :p]
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    holds = np.all(var > _VARIANCE_CUT * scale, axis=1)
+    std = np.sqrt(np.where(holds[:, None], var, 1.0))
+    return cov / (std[:, :, None] * std[:, None, :]), holds
+
+
+def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[Moments | np.ndarray]:
+    """Each replicate's Moments in r order, or its counts where the exact path decides."""
+    n = data.matrix.shape[0]
+    buffer = np.empty((max(1, min(b, _COUNT_BUFFER_BYTES // n)), n), np.uint8)
+    for start in range(0, b, len(buffer)):
+        counts = buffer[: min(len(buffer), b - start)]
+        wide = {}
+        for i in range(len(counts)):
+            drawn = np.bincount(_replicate_rng(seed, start + i).integers(0, n, size=n), minlength=n)
+            counts[i] = drawn
+            if drawn.max() > 255:  # wrapped in the buffer
+                wide[i] = drawn
+        corr, holds = _batched_correlations(data, counts)
+        for i in range(len(counts)):
+            if i in wide or not holds[i]:
+                yield wide.get(i, counts[i].astype(np.intp))
+            else:
+                yield Moments(corr[i], data.block_index, data.columns)
 
 
 def _aligned_fit(fit: PlsFit, reference: dict[str, np.ndarray]) -> PlsFit:
@@ -173,7 +250,6 @@ def bootstrap(
     if spec.cyclic is not None:
         cyc0 = estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
 
-    n = data.matrix.shape[0]
     path_reps: dict[tuple[str, str], list[float]] = {k: [] for k in fit0.paths}
     loading_estimates = _loadings_by_column(fit0, data)
     loading_reps: dict[tuple[str, str], list[float]] = {k: [] for k in loading_estimates}
@@ -183,10 +259,10 @@ def bootstrap(
 
     reasons: Counter[str] = Counter()
     last_failure = ""
-    for r in range(b):
-        idx = _replicate_rng(seed, r).integers(0, n, size=n)
+    for rep_data in _replicate_moments(data, seed, b):
         try:
-            rep_data = _resampled_moments(data, np.bincount(idx, minlength=n))
+            if not isinstance(rep_data, Moments):
+                rep_data = _resampled_moments(data, rep_data)
             rep_fit = fit_pls(rep_data, spec, tol=tol, max_iter=max_iter)
             if not rep_fit.converged:
                 raise EstimationError("replicate weights did not converge")
@@ -226,4 +302,5 @@ def bootstrap(
         cyclic_paths=(
             _collect(cyc0.cyclic_paths, cyclic_reps, level) if cyc0 is not None else {}
         ),
+        failure_reasons=dict(reasons),
     )

@@ -3,7 +3,9 @@
 ``data_space_oracle`` runs the PLS fixed point on the standardized rows and
 re-standardizes every bootstrap resample, as the estimator did before it
 moved onto the indicator correlation matrix. Fits, replicate vectors and
-replicate failures must agree with it.
+replicate failures must agree with it. The batched replicate moments must in
+turn agree with the exact per-replicate ``_resampled_moments``, also when the
+memory budgets split the replicates into chunks and the rows into blocks.
 """
 
 import re
@@ -14,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import data_space_oracle as oracle
-from plscycle import EstimationError, bootstrap, estimate_cyclic, fit_pls, parse_model
+from plscycle import (
+    DataError,
+    EstimationError,
+    bootstrap,
+    estimate_cyclic,
+    fit_pls,
+    parse_model,
+    resample,
+)
 from plscycle.dataset import Moments
 from plscycle.modelspec import SCHEMES
 
@@ -25,6 +35,22 @@ TOL = 1e-10
 
 def max_diff(a, b):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def set_budgets(monkeypatch, data, chunk, rows):
+    """Budgets for ``chunk`` replicates per count buffer and ``rows`` rows per block."""
+    n, p = data.matrix.shape
+    monkeypatch.setattr(resample, "_COUNT_BUFFER_BYTES", chunk * n)
+    monkeypatch.setattr(resample, "_ROW_BLOCK_BYTES", 8 * (p + p * (p + 1) // 2 + chunk) * rows)
+
+
+def small_budgets(monkeypatch):
+    """Budgets of 7 replicates per chunk and 16 rows per block, applied per data set."""
+    return lambda data: set_budgets(monkeypatch, data, chunk=7, rows=16)
+
+
+def default_budgets(data):
+    pass
 
 
 @st.composite
@@ -103,9 +129,10 @@ def cyclic_data(spec, n=300, seed=4):
     return make_prepared(np.column_stack(columns), spec)
 
 
-def test_bootstrap_replicates_match_data_space_reference():
+def check_bootstrap_matches_reference(budgets):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec)
+    budgets(data)
     boot = bootstrap(data, spec, b=100, seed=9)
     reps = [rep for rep in oracle.replicates(data, spec, b=100, seed=9) if isinstance(rep, tuple)]
     assert boot.b_effective == len(reps) == 100
@@ -117,6 +144,14 @@ def test_bootstrap_replicates_match_data_space_reference():
     assert set(boot.cyclic_paths) == {("IU", "PA"), ("IU", "DS")}
     for key, stats in boot.cyclic_paths.items():
         assert max_diff(stats.replicates, [cyc[key] for _, _, cyc in reps]) <= TOL
+
+
+def test_bootstrap_replicates_match_data_space_reference():
+    check_bootstrap_matches_reference(default_budgets)
+
+
+def test_bootstrap_replicates_in_small_chunks_match_data_space_reference(monkeypatch):
+    check_bootstrap_matches_reference(small_budgets(monkeypatch))
 
 
 def test_fit_on_moments_alone_builds_no_scores():
@@ -132,6 +167,124 @@ def test_fit_on_moments_alone_builds_no_scores():
     cyc, cyc_bare = estimate_cyclic(data, fit, spec), estimate_cyclic(bare, fit_bare, spec)
     assert cyc_bare.step2_fit.scores is None
     assert cyc_bare.cyclic_paths == cyc.cyclic_paths
+
+
+def exact_moments(data, seed, r):
+    """The replicate's correlation matrix from the exact path, or its DataError."""
+    n = data.matrix.shape[0]
+    counts = np.bincount(resample._replicate_rng(seed, r).integers(0, n, size=n), minlength=n)
+    try:
+        return resample._resampled_moments(data, counts).corr
+    except DataError as exc:
+        return exc
+
+
+def batched_moments(data, seed, b):
+    """Each replicate's correlation matrix as ``bootstrap`` obtains it, or its DataError."""
+    out = []
+    for rep in resample._replicate_moments(data, seed, b):
+        try:
+            out.append((rep if isinstance(rep, Moments) else resample._resampled_moments(data, rep)).corr)
+        except DataError as exc:
+            out.append(exc)
+    return out
+
+
+def assert_same_moments(data, seed, b, tol=1e-13):
+    for r, got in enumerate(batched_moments(data, seed, b)):
+        expected = exact_moments(data, seed, r)
+        if isinstance(expected, DataError):
+            assert isinstance(got, DataError) and str(got) == str(expected)
+        else:
+            assert max_diff(got, expected) <= tol
+
+
+@pytest.mark.parametrize(
+    "n, chunk, rows",
+    [
+        (300, 7, 16),  # 15 chunks, the last of 2; 19 row blocks, the last of 12
+        (320, 25, 16),  # 4 full chunks; rows a multiple of the block
+        (301, 100, 1),  # one chunk; one row per block
+        (150, 3, 400),  # 34 chunks, the last of 1; one block larger than n
+    ],
+)
+def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=n)
+    set_budgets(monkeypatch, data, chunk, rows)
+    reps = list(resample._replicate_moments(data, seed=3, b=100))
+    assert all(isinstance(rep, Moments) for rep in reps)
+    assert_same_moments(data, seed=3, b=100)
+
+
+REAL_RNG = resample._replicate_rng
+
+
+class StubbedDraw:
+    """Replicate draws with one row taken 300 times in replicate 5 and every
+    draw on one row in replicate 6; the rest as ``_replicate_rng`` draws them."""
+
+    def __init__(self, seed, r):
+        self.rng, self.r = REAL_RNG(seed, r), r
+
+    def integers(self, low, high, size):
+        idx = self.rng.integers(low, high, size=size)
+        if self.r == 5:
+            idx[:300] = 0
+        elif self.r == 6:
+            idx[:] = 1
+        return idx
+
+
+@pytest.fixture
+def stubbed_draws(monkeypatch):
+    monkeypatch.setattr(resample, "_replicate_rng", StubbedDraw)
+    monkeypatch.setattr(oracle, "_replicate_rng", StubbedDraw)
+
+
+def test_row_drawn_past_uint8_takes_the_exact_path(stubbed_draws, monkeypatch):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    set_budgets(monkeypatch, data, chunk=4, rows=64)
+    reps = list(resample._replicate_moments(data, seed=2, b=12))
+    assert [isinstance(rep, Moments) for rep in reps] == [r not in (5, 6) for r in range(12)]
+    assert reps[5].max() >= 300 and reps[6].max() == 1000
+    assert_same_moments(data, seed=2, b=12)
+    assert isinstance(batched_moments(data, seed=2, b=12)[6], DataError)
+
+
+def test_stubbed_heavy_and_degenerate_replicates_match_data_space_reference(stubbed_draws):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    boot = bootstrap(data, spec, b=100, seed=2)
+    reps = oracle.replicates(data, spec, b=100, seed=2)
+    assert reps[6] == "zero variance in a resampled column"
+    assert boot.failures == 1 and boot.failure_reasons == {"zero variance": 1}
+    reps = [rep for rep in reps if isinstance(rep, tuple)]
+    for key, stats in boot.paths.items():
+        assert max_diff(stats.replicates, [paths[key] for paths, _, _ in reps]) <= TOL
+    for key, stats in boot.cyclic_paths.items():
+        assert max_diff(stats.replicates, [cyc[key] for _, _, cyc in reps]) <= TOL
+
+
+def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeypatch):
+    # a benchmark traces replicate fits by replacing these module attributes
+    calls = {"fit_pls": 0, "estimate_cyclic": 0}
+
+    def counted(name):
+        inner = getattr(resample, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(resample, name, counted(name))
+    spec = parse_model(CYCLIC_MODEL)
+    boot = bootstrap(cyclic_data(spec, n=1000), spec, b=100, seed=2)
+    assert boot.b_effective == 99
+    assert calls == {"fit_pls": 1 + 99, "estimate_cyclic": 1 + 99}
 
 
 def reference_failures(data, spec, **kwargs):
@@ -163,8 +316,7 @@ PAIR_MODEL = {
 }
 
 
-@pytest.mark.parametrize("n", [1001, 5000])
-def test_zero_variance_resamples_are_detected_as_in_data_space(n):
+def check_zero_variance_replicates(n, budgets):
     # a column constant except for one row loses all its variance whenever
     # that row is not drawn; the resampled moments must see every such case
     spec = parse_model(PAIR_MODEL)
@@ -172,9 +324,21 @@ def test_zero_variance_resamples_are_detected_as_in_data_space(n):
     a = np.full(n, 0.25)
     a[0] = 3.0
     data = make_prepared(np.column_stack([a, rng.normal(size=n)]), spec)
+    budgets(data)
+    assert_same_moments(data, seed=1, b=100)
     failures = reference_failures(data, spec, seed=1)
     assert set(failures) == {"zero variance in a resampled column"}
     assert_abort_matches_reference(data, spec, "zero variance", seed=1)
+
+
+@pytest.mark.parametrize("n", [1001, 5000])
+def test_zero_variance_resamples_are_detected_as_in_data_space(n):
+    check_zero_variance_replicates(n, default_budgets)
+
+
+@pytest.mark.parametrize("n", [1001, 5000])
+def test_zero_variance_resamples_in_small_chunks_are_detected_as_in_data_space(n, monkeypatch):
+    check_zero_variance_replicates(n, small_budgets(monkeypatch))
 
 
 def twin_columns(n, differing, seed):
@@ -204,23 +368,39 @@ COLLINEAR_MODEL = {
 }
 
 
-@pytest.mark.parametrize(
+SINGULAR_CASES = pytest.mark.parametrize(
     "model, message",
     [
         (FORMATIVE_MODEL, "singular system in formative block 'F'"),
         (COLLINEAR_MODEL, "singular system: collinear predecessors of 'Y'"),
     ],
 )
-def test_singular_replicates_are_counted_and_abort_past_the_limit(model, message):
+
+
+def check_singular_replicates(model, message, budgets):
     spec = parse_model(model)
     # four differing rows: a resample misses all of them about 2% of the time
     rare = make_prepared(twin_columns(400, 4, seed=31), spec)
+    budgets(rare)
     failures = reference_failures(rare, spec, seed=1)
     assert 0 < len(failures) <= 5 and set(failures) == {message}
-    assert bootstrap(rare, spec, b=100, seed=1).failures == len(failures)
+    boot = bootstrap(rare, spec, b=100, seed=1)
+    assert boot.failures == len(failures)
+    assert boot.failure_reasons == {"singular system": len(failures)}
     # one differing row: about 37% of the resamples are singular
     common = make_prepared(twin_columns(400, 1, seed=32), spec)
+    budgets(common)
     assert_abort_matches_reference(common, spec, "singular system", seed=1)
+
+
+@SINGULAR_CASES
+def test_singular_replicates_are_counted_and_abort_past_the_limit(model, message):
+    check_singular_replicates(model, message, default_budgets)
+
+
+@SINGULAR_CASES
+def test_singular_replicates_in_small_chunks_are_counted_as_in_data_space(model, message, monkeypatch):
+    check_singular_replicates(model, message, small_budgets(monkeypatch))
 
 
 def test_replicate_non_convergence_aborts_past_the_limit():

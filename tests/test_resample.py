@@ -113,6 +113,7 @@ def test_bookkeeping_fields():
     boot = bootstrap(data, spec, b=120, level=0.9, seed=5)
     assert boot.b_requested == 120
     assert boot.b_effective + boot.failures == 120
+    assert sum(boot.failure_reasons.values()) == boot.failures
     assert boot.level == 0.9
     assert boot.seed == 5
     assert set(boot.loadings) == {("A", "a"), ("B", "b")}
