@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import PreparedData
+from .dataset import Moments, PreparedData
 from .modelspec import UNIT_MODES
 from .plscore import PlsFit
 
@@ -30,7 +30,12 @@ FLAG_BORDERLINE = "borderline"
 FLAG_EXEMPT = "exempt"
 FLAG_NA = "not-applicable"
 
-_INDEX_NAMES = ("alpha", "composite_reliability", "dijkstra_rho_a", "ave", "unidimensionality")
+_THRESHOLDS = {
+    "alpha": ALPHA_THRESHOLD,
+    "composite_reliability": CR_THRESHOLD,
+    "dijkstra_rho_a": RHO_A_THRESHOLD,
+    "ave": AVE_THRESHOLD,
+}
 
 
 @dataclass(frozen=True)
@@ -60,14 +65,27 @@ class ReliabilityReport:
     constructs: tuple[ConstructReliability, ...]
 
 
+def _block_corr(block: np.ndarray, what: str) -> np.ndarray:
+    block = np.asarray(block, dtype=np.float64)
+    if block.shape[1] < 2:
+        raise ValueError(f"{what} needs at least 2 items")
+    return np.corrcoef(block, rowvar=False)
+
+
+def _alpha(corr: np.ndarray) -> float:
+    p = corr.shape[0]
+    return float(p / (p - 1) * (1.0 - p / corr.sum()))
+
+
+def _eigenvalues(corr: np.ndarray) -> tuple[float, float, bool]:
+    eig = np.linalg.eigvalsh(corr)
+    eig1, eig2 = float(eig[-1]), float(eig[-2])
+    return eig1, eig2, eig1 > 1.0 and eig2 < 1.0
+
+
 def cronbach_alpha(block: np.ndarray) -> float:
     """Standardized-item alpha: (p/(p-1)) * (1 - p / sum of correlations)."""
-    block = np.asarray(block, dtype=np.float64)
-    p = block.shape[1]
-    if p < 2:
-        raise ValueError("cronbach_alpha needs at least 2 items")
-    corr = np.corrcoef(block, rowvar=False)
-    return float(p / (p - 1) * (1.0 - p / corr.sum()))
+    return _alpha(_block_corr(block, "cronbach_alpha"))
 
 
 def composite_reliability(loadings: np.ndarray) -> float:
@@ -113,12 +131,7 @@ def unidimensionality(block: np.ndarray) -> tuple[float, float, bool]:
 
     Passes when exactly the first exceeds 1 (eig1 > 1 and eig2 < 1).
     """
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape[1] < 2:
-        raise ValueError("unidimensionality needs at least 2 items")
-    eig = np.linalg.eigvalsh(np.corrcoef(block, rowvar=False))
-    eig1, eig2 = float(eig[-1]), float(eig[-2])
-    return eig1, eig2, eig1 > 1.0 and eig2 < 1.0
+    return _eigenvalues(_block_corr(block, "unidimensionality"))
 
 
 def threshold_flag(value: float, threshold: float) -> str:
@@ -137,72 +150,43 @@ def _indicator_ci(boot, construct: str, indicator: str) -> tuple[float, float] |
     return None if stats is None else stats.ci
 
 
-def assess(fit: PlsFit, data: PreparedData, boot=None) -> ReliabilityReport:
+def assess(fit: PlsFit, data: PreparedData | Moments, boot=None) -> ReliabilityReport:
     """Aggregate all indices and threshold flags per construct.
 
-    Single-item and mca-single-item constructs are exempt from every check,
-    as are reflective blocks that hold a single indicator. Formative blocks
-    report the reflective battery as not-applicable. Loading confidence
-    intervals are attached when a bootstrap result is supplied.
+    Every index comes from the fit and the block of the indicator correlation
+    matrix R, so moments without rows suffice. Single-item and mca-single-item
+    constructs are exempt from every check, as are reflective blocks that hold
+    a single indicator. Formative blocks report the reflective battery as
+    not-applicable. Loading confidence intervals are attached when a bootstrap
+    result is supplied.
     """
+    moments = data if isinstance(data, Moments) else data.moments()
     rows: list[ConstructReliability] = []
     for name in fit.constructs:
         mode = fit.modes[name]
-        block = data.block_matrix(name)
         lam = fit.loadings[name]
-        lo, hi = data.block_index[name]
-        indicator_names = data.columns[lo:hi]
-        p = block.shape[1]
-
-        exempt = mode in UNIT_MODES or p < 2
+        lo, hi = moments.block_index[name]
+        exempt = mode in UNIT_MODES or hi - lo < 2
         if exempt or mode == "formative":
             flag = FLAG_EXEMPT if exempt else FLAG_NA
-            indicators = tuple(
-                IndicatorReliability(
-                    indicator=col,
-                    loading=float(lam[j]),
-                    ci=_indicator_ci(boot, name, col),
-                    flag=flag,
-                )
-                for j, col in enumerate(indicator_names)
-            )
-            rows.append(
-                ConstructReliability(
-                    construct=name, mode=mode, alpha=None,
-                    composite_reliability=None, dijkstra_rho_a=None, ave=None,
-                    eig1=None, eig2=None, indicators=indicators,
-                    flags={key: flag for key in _INDEX_NAMES},
-                )
-            )
-            continue
-
-        alpha = cronbach_alpha(block)
-        cr = composite_reliability(lam)
-        ave_value = ave(lam)
-        corr = np.corrcoef(block, rowvar=False)
-        rho_a = dijkstra_rho_a(fit.weights[name], corr)
-        eig1, eig2, unidim = unidimensionality(block)
+            values = dict.fromkeys((*_THRESHOLDS, "eig1", "eig2"))
+            flags = dict.fromkeys((*_THRESHOLDS, "unidimensionality"), flag)
+            loading_flags = [flag] * len(lam)
+        else:
+            corr = moments.corr[lo:hi, lo:hi]
+            values = {
+                "alpha": _alpha(corr),
+                "composite_reliability": composite_reliability(lam),
+                "dijkstra_rho_a": dijkstra_rho_a(fit.weights[name], corr),
+                "ave": ave(lam),
+            }
+            flags = {key: threshold_flag(values[key], t) for key, t in _THRESHOLDS.items()}
+            values["eig1"], values["eig2"], unidim = _eigenvalues(corr)
+            flags["unidimensionality"] = FLAG_PASS if unidim else FLAG_FAIL
+            loading_flags = [threshold_flag(float(v), LOADING_THRESHOLD) for v in lam]
         indicators = tuple(
-            IndicatorReliability(
-                indicator=col,
-                loading=float(lam[j]),
-                ci=_indicator_ci(boot, name, col),
-                flag=threshold_flag(float(lam[j]), LOADING_THRESHOLD),
-            )
-            for j, col in enumerate(indicator_names)
+            IndicatorReliability(col, float(v), _indicator_ci(boot, name, col), mark)
+            for col, v, mark in zip(moments.columns[lo:hi], lam, loading_flags)
         )
-        flags = {
-            "alpha": threshold_flag(alpha, ALPHA_THRESHOLD),
-            "composite_reliability": threshold_flag(cr, CR_THRESHOLD),
-            "dijkstra_rho_a": threshold_flag(rho_a, RHO_A_THRESHOLD),
-            "ave": threshold_flag(ave_value, AVE_THRESHOLD),
-            "unidimensionality": FLAG_PASS if unidim else FLAG_FAIL,
-        }
-        rows.append(
-            ConstructReliability(
-                construct=name, mode=mode, alpha=alpha,
-                composite_reliability=cr, dijkstra_rho_a=rho_a, ave=ave_value,
-                eig1=eig1, eig2=eig2, indicators=indicators, flags=flags,
-            )
-        )
+        rows.append(ConstructReliability(name, mode, indicators=indicators, flags=flags, **values))
     return ReliabilityReport(constructs=tuple(rows))

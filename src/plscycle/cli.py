@@ -179,7 +179,15 @@ def _settings(args: argparse.Namespace, spec: ModelSpec) -> dict:
     return settings
 
 
+def _check_resampling(args: argparse.Namespace, minimum: int, why: str = "") -> None:
+    if args.bootstrap < minimum:
+        raise ValueError(f"{why}--bootstrap must be >= {minimum}, got {args.bootstrap}")
+    if not 0.0 < args.level < 1.0:
+        raise ValueError(f"--level must be in (0, 1), got {args.level}")
+
+
 def cmd_fit(args: argparse.Namespace) -> int:
+    _check_resampling(args, 0)
     spec = _load_spec(args)
     data = _prepare(args, spec)
     fit = _fit_or_fail(data, spec, args)
@@ -203,11 +211,7 @@ def cmd_cyclic(args: argparse.Namespace) -> int:
     spec = _load_spec(args)
     if spec.cyclic is None:
         raise ModelError("no cyclic specification in the model document")
-    if args.bootstrap < MIN_REPLICATES:
-        raise ValueError(
-            f"reinforcement tests need bootstrap standard errors; "
-            f"--bootstrap must be >= {MIN_REPLICATES}, got {args.bootstrap}"
-        )
+    _check_resampling(args, MIN_REPLICATES, "reinforcement tests need bootstrap standard errors; ")
     data = _prepare(args, spec)
     fit = _fit_or_fail(data, spec, args)
     cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)

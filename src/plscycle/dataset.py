@@ -52,13 +52,9 @@ class PreparedData:
     missing_cells: dict[str, int]
     mca_inertia_share: dict[str, float]
 
-    def block_matrix(self, name: str) -> np.ndarray:
-        lo, hi = self.block_index[name]
-        return self.matrix[:, lo:hi]
-
     def moments(self) -> Moments:
         """Cross-product moments X'X/n of the standardized matrix, with its rows."""
-        rows = {name: self.block_matrix(name) for name in self.block_index}
+        rows = {name: self.matrix[:, lo:hi] for name, (lo, hi) in self.block_index.items()}
         corr = self.matrix.T @ self.matrix / self.matrix.shape[0]
         return Moments(corr, self.block_index, self.columns, rows)
 

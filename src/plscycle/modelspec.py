@@ -92,10 +92,28 @@ def _require_str(value: object, what: str) -> str:
     return value
 
 
+def _is_list(value: object) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, str)
+
+
 def _check_keys(obj: Mapping, allowed: set[str], where: str) -> None:
     for key in obj:
         if key not in allowed:
             raise ModelError(f"unknown field '{key}' in {where}")
+
+
+def _load_document(document: str | Mapping, kind: str) -> Mapping:
+    """The JSON object a ``kind`` document holds, from its text or as given."""
+    if isinstance(document, str):
+        try:
+            document = json.loads(document)
+        except json.JSONDecodeError as exc:
+            raise ModelError(
+                f"{kind} document syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+    if not isinstance(document, Mapping):
+        raise ModelError(f"{kind} document must be a JSON object")
+    return document
 
 
 def _parse_block(obj: object, seen_names: set[str], seen_indicators: set[str]) -> BlockSpec:
@@ -109,7 +127,7 @@ def _parse_block(obj: object, seen_names: set[str], seen_indicators: set[str]) -
     if mode not in MODES:
         raise ModelError(f"unknown mode '{mode}' in block '{name}'")
     raw = obj.get("indicators")
-    if not isinstance(raw, Sequence) or isinstance(raw, str) or not raw:
+    if not _is_list(raw) or not raw:
         raise ModelError(f"block '{name}' must list at least one indicator")
     indicators = []
     for item in raw:
@@ -148,21 +166,11 @@ def parse_model(document: str | Mapping) -> ModelSpec:
     Raises ModelError for syntax problems, unknown fields or modes, duplicate
     names, and references to undeclared constructs.
     """
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"model document syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        obj = document
-    if not isinstance(obj, Mapping):
-        raise ModelError("model document must be a JSON object")
+    obj = _load_document(document, "model")
     _check_keys(obj, _TOP_KEYS, "model document")
 
     raw_blocks = obj.get("blocks")
-    if not isinstance(raw_blocks, Sequence) or isinstance(raw_blocks, str) or not raw_blocks:
+    if not _is_list(raw_blocks) or not raw_blocks:
         raise ModelError("model document must declare a non-empty 'blocks' list")
     blocks: list[BlockSpec] = []
     seen_names: set[str] = set()
@@ -174,7 +182,7 @@ def parse_model(document: str | Mapping) -> ModelSpec:
         seen_indicators.update(block.indicators)
 
     raw_paths = obj.get("paths", [])
-    if not isinstance(raw_paths, Sequence) or isinstance(raw_paths, str):
+    if not _is_list(raw_paths):
         raise ModelError("'paths' must be a list")
     paths: list[PathSpec] = []
     seen_edges: set[tuple[str, str]] = set()
@@ -205,7 +213,7 @@ def parse_model(document: str | Mapping) -> ModelSpec:
                     f"cyclic source '{source}' has no antecedents to default the targets to"
                 )
         else:
-            if not isinstance(raw_targets, Sequence) or isinstance(raw_targets, str) or not raw_targets:
+            if not _is_list(raw_targets) or not raw_targets:
                 raise ModelError("cyclic 'targets' must be a non-empty list")
             targets_list: list[str] = []
             for item in raw_targets:
@@ -243,24 +251,27 @@ def serialize_model(spec: ModelSpec) -> str:
     return json.dumps(model_document(spec), indent=2)
 
 
+def _wave_order(parents: Sequence[set[int]]) -> list[int] | None:
+    """Topological order of nodes 0..k-1 given each node's parents, or None on a cycle.
+
+    Each pass places, in index order, every node whose parents are all placed.
+    """
+    order: list[int] = []
+    while len(order) < len(parents):
+        placed = set(order)
+        ready = [i for i, up in enumerate(parents) if i not in placed and up <= placed]
+        if not ready:
+            return None
+        order.extend(ready)
+    return order
+
+
 def topological_order(spec: ModelSpec) -> tuple[str, ...] | None:
     """Topological order of the sequential graph, or None if it has a cycle."""
     names = spec.block_names()
-    indegree = {n: 0 for n in names}
-    for p in spec.paths:
-        indegree[p.target] += 1
-    ready = [n for n in names if indegree[n] == 0]
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for succ in spec.successors(node):
-            indegree[succ] -= 1
-            if indegree[succ] == 0:
-                ready.append(succ)
-    if len(order) != len(names):
-        return None
-    return tuple(order)
+    index = {name: i for i, name in enumerate(names)}
+    order = _wave_order([{index[p] for p in spec.predecessors(name)} for name in names])
+    return None if order is None else tuple(names[i] for i in order)
 
 
 def ancestors(spec: ModelSpec, name: str) -> tuple[str, ...]:

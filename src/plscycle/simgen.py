@@ -12,14 +12,16 @@ that equals the construct.
 
 from __future__ import annotations
 
-import json
-from collections.abc import Mapping, Sequence
+import numbers
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import RawTable
 from .errors import ModelError
+from .modelspec import _check_keys, _is_list, _load_document, _require_str, _wave_order
 
 _KINDS = ("acyclic", "cyclic")
 
@@ -80,27 +82,13 @@ def _validate(pop: PopulationSpec) -> None:
             raise ValueError("disturbance variances must be positive")
 
 
-def _topological(b: np.ndarray) -> list[int]:
-    """Topological order of the nonzero pattern of b (edges j -> i)."""
-    k = b.shape[0]
-    parents = [set(np.flatnonzero(b[i]).tolist()) for i in range(k)]
-    order: list[int] = []
-    placed: set[int] = set()
-    while len(order) < k:
-        ready = [i for i in range(k) if i not in placed and parents[i] <= placed]
-        if not ready:
-            raise ValueError("structural matrix is not acyclic")
-        for i in ready:
-            order.append(i)
-            placed.add(i)
-    return order
-
-
 def _acyclic_moments(pop: PopulationSpec) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Construct covariance (unit diagonal) and disturbance variances."""
     b = np.asarray(pop.b_matrix, dtype=np.float64)
     k = b.shape[0]
-    order = _topological(b)
+    order = _wave_order([set(np.flatnonzero(row).tolist()) for row in b])
+    if order is None:
+        raise ValueError("structural matrix is not acyclic")
     sigma = np.eye(k)
     psi = np.ones(k)
     for pos, node in enumerate(order):
@@ -124,6 +112,22 @@ def _acyclic_moments(pop: PopulationSpec) -> tuple[np.ndarray, np.ndarray, list[
                 "supplied disturbances are inconsistent with unit construct variances"
             )
     return sigma, psi, order
+
+
+def _equilibrium(pop: PopulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(I - B)^-1, the disturbance variances and the construct scales of xi = B xi + zeta.
+
+    The scales are the construct standard deviations, sqrt diag((I-B)^-1 Psi
+    (I-B)^-T); an equilibrium needs the spectral radius of B below 1.
+    """
+    b = np.asarray(pop.b_matrix, dtype=np.float64)
+    k = b.shape[0]
+    radius = float(np.max(np.abs(np.linalg.eigvals(b))))
+    if radius >= 1.0:
+        raise ValueError(f"no equilibrium: spectral radius {radius:.6f} >= 1")
+    psi = np.ones(k) if pop.disturbances is None else np.asarray(pop.disturbances)
+    a = np.linalg.inv(np.eye(k) - b)
+    return a, psi, np.sqrt(np.diag(a @ np.diag(psi) @ a.T))
 
 
 def _emit_indicators(xi: np.ndarray, pop: PopulationSpec, eps: np.ndarray) -> np.ndarray:
@@ -177,15 +181,7 @@ def gen_cyclic_equilibrium(pop: PopulationSpec) -> RawTable:
     sampling noise.
     """
     _validate(pop)
-    b = np.asarray(pop.b_matrix, dtype=np.float64)
-    k = b.shape[0]
-    radius = float(np.max(np.abs(np.linalg.eigvals(b))))
-    if radius >= 1.0:
-        raise ValueError(f"no equilibrium: spectral radius {radius:.6f} >= 1")
-    psi = np.ones(k) if pop.disturbances is None else np.asarray(pop.disturbances)
-    a = np.linalg.inv(np.eye(k) - b)
-    sigma_raw = a @ np.diag(psi) @ a.T
-    scale = np.sqrt(np.diag(sigma_raw))
+    a, psi, scale = _equilibrium(pop)
     z, eps = _draws(pop)
     zeta = z * np.sqrt(psi)
     xi = (zeta @ a.T) / scale
@@ -203,23 +199,13 @@ def population_truth(pop: PopulationSpec, kind: str) -> dict:
     if kind not in _KINDS:
         raise ValueError(f"unknown population kind '{kind}'")
     b = np.asarray(pop.b_matrix, dtype=np.float64)
-    k = b.shape[0]
     if kind == "acyclic":
-        sigma, psi, _ = _acyclic_moments(pop)
-        corr = sigma
+        corr, psi, _ = _acyclic_moments(pop)
         b_eff = b
-        disturbances = psi
     else:
-        radius = float(np.max(np.abs(np.linalg.eigvals(b))))
-        if radius >= 1.0:
-            raise ValueError(f"no equilibrium: spectral radius {radius:.6f} >= 1")
-        psi = np.ones(k) if pop.disturbances is None else np.asarray(pop.disturbances)
-        a = np.linalg.inv(np.eye(k) - b)
-        sigma_raw = a @ np.diag(psi) @ a.T
-        scale = np.sqrt(np.diag(sigma_raw))
-        corr = sigma_raw / np.outer(scale, scale)
+        a, psi, scale = _equilibrium(pop)
+        corr = a @ np.diag(psi) @ a.T / np.outer(scale, scale)
         b_eff = b * np.outer(1.0 / scale, scale)
-        disturbances = psi
     return {
         "kind": kind,
         "n": pop.n,
@@ -234,9 +220,18 @@ def population_truth(pop: PopulationSpec, kind: str) -> dict:
         ],
         "b_matrix": np.asarray(pop.b_matrix, dtype=np.float64).tolist(),
         "b_effective": np.asarray(b_eff).tolist(),
-        "disturbances": np.asarray(disturbances, dtype=np.float64).tolist(),
+        "disturbances": np.asarray(psi, dtype=np.float64).tolist(),
         "construct_correlation": np.asarray(corr).tolist(),
     }
+
+
+def _number(value: object, what: str) -> float:
+    """A finite JSON number as a float; bools and numeric strings are not numbers."""
+    # the comparison is exact for big integers and false for NaN
+    finite = isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not finite:
+        raise ModelError(f"{what} must be a finite number")
+    return float(value)
 
 
 def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
@@ -249,27 +244,14 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
     "disturbances": [float, ...]?}. Formative blocks (weight vectors) have no
     generative rule here and are rejected.
     """
-    if isinstance(document, str):
-        try:
-            obj = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise ModelError(
-                f"population document syntax error at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}"
-            ) from exc
-    else:
-        obj = document
-    if not isinstance(obj, Mapping):
-        raise ModelError("population document must be a JSON object")
-    allowed = {"kind", "n", "seed", "constructs", "paths", "disturbances"}
-    for key in obj:
-        if key not in allowed:
-            raise ModelError(f"unknown field '{key}' in population document")
+    obj = _load_document(document, "population")
+    _check_keys(obj, {"kind", "n", "seed", "constructs", "paths", "disturbances"},
+                "population document")
     kind = obj.get("kind", "acyclic")
     if kind not in _KINDS:
         raise ModelError(f"unknown population kind '{kind}'")
     raw_constructs = obj.get("constructs")
-    if not isinstance(raw_constructs, Sequence) or not raw_constructs:
+    if not _is_list(raw_constructs) or not raw_constructs:
         raise ModelError("population document must declare a non-empty 'constructs' list")
     constructs: list[ConstructPopulation] = []
     for raw in raw_constructs:
@@ -277,12 +259,8 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
             raise ModelError("each population construct must be an object")
         if "weights" in raw:
             raise ModelError("formative generation is not supported")
-        for key in raw:
-            if key not in {"name", "loadings", "single_item"}:
-                raise ModelError(f"unknown field '{key}' in population construct")
-        name = raw.get("name")
-        if not isinstance(name, str) or not name:
-            raise ModelError("population construct name must be a non-empty string")
+        _check_keys(raw, {"name", "loadings", "single_item"}, "population construct")
+        name = _require_str(raw.get("name"), "population construct name")
         if raw.get("single_item"):
             loadings: tuple[float, ...] = (1.0,)
             if "loadings" in raw:
@@ -291,26 +269,29 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
                 )
         else:
             raw_loadings = raw.get("loadings")
-            if not isinstance(raw_loadings, Sequence) or not raw_loadings:
+            if not _is_list(raw_loadings) or not raw_loadings:
                 raise ModelError(f"construct '{name}' must list loadings")
-            loadings = tuple(float(v) for v in raw_loadings)
+            loadings = tuple(_number(v, f"loading of construct '{name}'") for v in raw_loadings)
         constructs.append(ConstructPopulation(name=name, loadings=loadings))
     names = [c.name for c in constructs]
     index = {n: i for i, n in enumerate(names)}
     k = len(names)
     b = np.zeros((k, k))
-    for raw in obj.get("paths", []):
+    raw_paths = obj.get("paths", [])
+    if not _is_list(raw_paths):
+        raise ModelError("population 'paths' must be a list")
+    for raw in raw_paths:
         if not isinstance(raw, Mapping):
             raise ModelError("each population path must be an object")
-        for key in raw:
-            if key not in {"source", "target", "coefficient"}:
-                raise ModelError(f"unknown field '{key}' in population path")
+        _check_keys(raw, {"source", "target", "coefficient"}, "population path")
         source, target = raw.get("source"), raw.get("target")
         if source not in index or target not in index:
             raise ModelError("population path references an unknown construct")
         if source == target:
             raise ModelError("population path source equals target")
-        b[index[target], index[source]] = float(raw.get("coefficient", 0.0))
+        b[index[target], index[source]] = _number(
+            raw.get("coefficient", 0.0), f"coefficient of path {source} -> {target}"
+        )
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ModelError("population 'n' must be an integer >= 2")
@@ -319,13 +300,9 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
         raise ModelError("population 'seed' must be an integer")
     disturbances = obj.get("disturbances")
     if disturbances is not None:
-        if (
-            not isinstance(disturbances, Sequence)
-            or isinstance(disturbances, str)
-            or len(disturbances) != k
-        ):
+        if not _is_list(disturbances) or len(disturbances) != k:
             raise ModelError("'disturbances' must list one variance per construct")
-        disturbances = tuple(float(v) for v in disturbances)
+        disturbances = tuple(_number(v, "disturbance variance") for v in disturbances)
     pop = PopulationSpec(
         constructs=tuple(constructs),
         b_matrix=b,

@@ -3,13 +3,16 @@
 The PLS fixed point as it runs on the standardized row matrix: scores are
 recomputed from the rows in every iteration, loadings are indicator-score
 correlations, and each bootstrap replicate re-standardizes its resampled
-rows. The differential tests hold the library to these within 1e-10.
+rows. The differential tests hold the library to these within 1e-10. The
+reliability battery takes every block statistic from ``np.corrcoef`` of the
+block's rows.
 """
 
 import types
 
 import numpy as np
 
+from plscycle import assessment as a
 from plscycle.cyclic import build_feedback_model
 from plscycle.errors import DataError, EstimationError
 from plscycle.modelspec import UNIT_MODES
@@ -106,3 +109,46 @@ def replicates(data, spec, b, seed=0, tol=1e-6, max_iter=300):
             continue
         out.append((f["paths"], f["loadings"], cyclic))
     return out
+
+
+def assess(fit, data, boot=None):
+    """The reliability battery with every block statistic taken from the block's rows."""
+    rows = []
+    for name in fit.constructs:
+        mode, lam = fit.modes[name], fit.loadings[name]
+        lo, hi = data.block_index[name]
+        p = hi - lo
+        indicator_names = data.columns[lo:hi]
+        exempt = mode in UNIT_MODES or p < 2
+        if exempt or mode == "formative":
+            flag = a.FLAG_EXEMPT if exempt else a.FLAG_NA
+            indicators = tuple(
+                a.IndicatorReliability(col, float(lam[j]), a._indicator_ci(boot, name, col), flag)
+                for j, col in enumerate(indicator_names)
+            )
+            rows.append(a.ConstructReliability(
+                name, mode, None, None, None, None, None, None, indicators,
+                {key: flag for key in ("alpha", "composite_reliability", "dijkstra_rho_a",
+                                       "ave", "unidimensionality")}))
+            continue
+        corr = np.corrcoef(data.matrix[:, lo:hi], rowvar=False)
+        alpha = p / (p - 1) * (1.0 - p / corr.sum())
+        cr, ave_value = a.composite_reliability(lam), a.ave(lam)
+        rho_a = a.dijkstra_rho_a(fit.weights[name], corr)
+        eig = np.linalg.eigvalsh(corr)
+        eig1, eig2 = float(eig[-1]), float(eig[-2])
+        indicators = tuple(
+            a.IndicatorReliability(col, float(lam[j]), a._indicator_ci(boot, name, col),
+                                   a.threshold_flag(float(lam[j]), a.LOADING_THRESHOLD))
+            for j, col in enumerate(indicator_names)
+        )
+        flags = {
+            "alpha": a.threshold_flag(alpha, a.ALPHA_THRESHOLD),
+            "composite_reliability": a.threshold_flag(cr, a.CR_THRESHOLD),
+            "dijkstra_rho_a": a.threshold_flag(rho_a, a.RHO_A_THRESHOLD),
+            "ave": a.threshold_flag(ave_value, a.AVE_THRESHOLD),
+            "unidimensionality": a.FLAG_PASS if eig1 > 1.0 and eig2 < 1.0 else a.FLAG_FAIL,
+        }
+        rows.append(a.ConstructReliability(
+            name, mode, float(alpha), cr, rho_a, ave_value, eig1, eig2, indicators, flags))
+    return a.ReliabilityReport(tuple(rows))

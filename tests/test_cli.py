@@ -161,6 +161,26 @@ def test_cyclic_subcommand_needs_enough_replicates(tmp_path, capsys):
     assert "--bootstrap must be >= 100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("fit", ["--bootstrap", "-7"], "--bootstrap must be >= 0, got -7"),
+        ("fit", ["--bootstrap", "0", "--level", "7"], "--level must be in (0, 1), got 7.0"),
+        ("fit", ["--level", "0"], "--level must be in (0, 1), got 0.0"),
+        ("fit", ["--level", "nan"], "--level must be in (0, 1), got nan"),
+        ("cyclic", ["--level", "1"], "--level must be in (0, 1), got 1.0"),
+    ],
+)
+def test_invalid_resampling_settings_exit_2_before_reading_data(
+    tmp_path, capsys, command, flags, message
+):
+    model = write_model(tmp_path, cyclic_model())
+    missing = str(tmp_path / "never-read.csv")
+    code = main([command, "--model", model, "--data", missing, *flags])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_direction_flag_moves_the_tail(tmp_path, capsys):
     model, data = triangle_files(tmp_path, cyclic_model())
     base = ["cyclic", "--model", model, "--data", data, "--bootstrap", "100", "--seed", "9"]
@@ -336,6 +356,15 @@ def test_simulate_rejects_explosive_feedback(tmp_path, capsys):
     code = main(["simulate", "--population", pop, "--out", str(tmp_path / "x.csv")])
     assert code == 2
     assert "no equilibrium: spectral radius" in capsys.readouterr().err
+
+
+def test_simulate_rejects_a_malformed_population_with_exit_2(tmp_path, capsys):
+    doc = {"n": 50, "constructs": [{"name": "A", "loadings": [0.8]}], "paths": 5}
+    pop = write_model(tmp_path, doc, name="pop.json")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--population", pop, "--out", str(out)]) == 2
+    assert "'paths' must be a list" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unreadable_files_exit_4(tmp_path, capsys):

@@ -6,6 +6,8 @@ moved onto the indicator correlation matrix. Fits, replicate vectors and
 replicate failures must agree with it. The batched replicate moments must in
 turn agree with the exact per-replicate ``_resampled_moments``, also when the
 memory budgets split the replicates into chunks and the rows into blocks.
+The reliability battery, which reads only R, must agree with the one that
+reads the block rows.
 """
 
 import re
@@ -19,6 +21,7 @@ import data_space_oracle as oracle
 from plscycle import (
     DataError,
     EstimationError,
+    assess,
     bootstrap,
     estimate_cyclic,
     fit_pls,
@@ -101,6 +104,28 @@ def test_fit_matches_data_space_reference(case):
         assert abs(fit.paths[key] - value) <= TOL
     for name, value in expected["r_squared"].items():
         assert abs(fit.r_squared[name] - value) <= TOL
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(model_and_data())
+def test_assessment_on_r_matches_data_space_reference(case):
+    spec, data = case
+    try:
+        fit = fit_pls(data, spec)
+    except EstimationError:
+        return
+    report, expected = assess(fit, data), oracle.assess(fit, data)
+    assert len(report.constructs) == len(expected.constructs)
+    for got, want in zip(report.constructs, expected.constructs):
+        assert (got.construct, got.mode, got.flags) == (want.construct, want.mode, want.flags)
+        assert got.indicators == want.indicators
+        for field in ("alpha", "composite_reliability", "dijkstra_rho_a", "ave", "eig1", "eig2"):
+            value, reference = getattr(got, field), getattr(want, field)
+            assert (value is None) == (reference is None)
+            if value is not None:
+                assert abs(value - reference) <= 1e-12
+    full = data.moments()
+    assert assess(fit, Moments(full.corr, full.block_index, full.columns)) == report
 
 
 CYCLIC_MODEL = {

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,23 @@ def test_parse_population_full_document():
             lambda d: d["constructs"].append({"name": "A", "loadings": [0.5]}),
             "duplicate construct",
         ),
+        (lambda d: d.update(paths=5), "'paths' must be a list"),
+        (lambda d: d.update(paths="AB"), "'paths' must be a list"),
+        (
+            lambda d: d["paths"][0].update(coefficient=[0.3]),
+            "coefficient of path A -> B must be a finite number",
+        ),
+        (
+            lambda d: d["paths"][0].update(coefficient=float("nan")),
+            "coefficient of path A -> B must be a finite number",
+        ),
+        (lambda d: d["constructs"][0].update(loadings=[[0.5]]), "loading of construct 'A'"),
+        (lambda d: d["constructs"][0].update(loadings="1"), "construct 'A' must list loadings"),
+        (lambda d: d["constructs"][0].update(loadings=[True]), "loading of construct 'A'"),
+        (lambda d: d["constructs"][0].update(loadings=["0.5"]), "loading of construct 'A'"),
+        (lambda d: d["constructs"][0].update(loadings=[10**400]), "loading of construct 'A'"),
+        (lambda d: d.update(disturbances=[None, 1.0]), "disturbance variance must be"),
+        (lambda d: d.update(disturbances=[1.0, False]), "disturbance variance must be"),
     ],
 )
 def test_parse_population_errors(mutate, message):
@@ -303,3 +323,63 @@ def test_parse_population_errors(mutate, message):
 def test_parse_population_reports_json_position():
     with pytest.raises(ModelError, match="syntax error at line 1, column 2"):
         parse_population("{!")
+
+
+# A DAG declared out of topological order (the wave order is X1, X2, then B
+# and A), where B and A share two correlated parents, so the order in which
+# their covariance is filled shows in the rounding of the truth; and a
+# feedback system with given disturbances.
+PINNED_POPULATIONS = [
+    (
+        {
+            "kind": "acyclic", "n": 300, "seed": 11,
+            "constructs": [
+                {"name": "B", "loadings": [0.9, 0.6]},
+                {"name": "A", "loadings": [0.8, 0.7, 0.75]},
+                {"name": "X2", "single_item": True},
+                {"name": "X1", "loadings": [0.85, 0.65]},
+            ],
+            "paths": [
+                {"source": "X1", "target": "X2", "coefficient": 0.35},
+                {"source": "X1", "target": "A", "coefficient": 0.3},
+                {"source": "X2", "target": "A", "coefficient": 0.45},
+                {"source": "X1", "target": "B", "coefficient": 0.25},
+                {"source": "X2", "target": "B", "coefficient": 0.55},
+            ],
+        },
+        "c9c6eb0e7b176aa112b3e30dbd5244032743a6839afd18851476493ba18a2c49",
+        "dee9785c5307eb20157aff7b35ab05746a3e107049cc3a39ce109c5479889229",
+    ),
+    (
+        {
+            "kind": "cyclic", "n": 300, "seed": 12,
+            "constructs": [
+                {"name": "A", "loadings": [0.8, 0.7]},
+                {"name": "B", "single_item": True},
+                {"name": "C", "loadings": [0.9, 0.75, 0.6]},
+            ],
+            "paths": [
+                {"source": "A", "target": "B", "coefficient": 0.4},
+                {"source": "B", "target": "C", "coefficient": 0.5},
+                {"source": "A", "target": "C", "coefficient": 0.2},
+                {"source": "C", "target": "A", "coefficient": 0.3},
+            ],
+            "disturbances": [1.0, 0.7, 0.5],
+        },
+        "955098a231ceb357eb59ded6447a96041c7d0e21f840dfe533d511cbe5728e70",
+        "e1b156a555b5b160e449e42a4f9a64d380e3d5c99228c8ec160f457479809d00",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "doc, values_sha256, truth_sha256", PINNED_POPULATIONS, ids=["dag", "cyclic"]
+)
+def test_generators_and_truth_are_pinned(doc, values_sha256, truth_sha256):
+    pop, kind = parse_population(doc)
+    generate = gen_acyclic if kind == "acyclic" else gen_cyclic_equilibrium
+    values = np.ascontiguousarray(generate(pop).values)
+    assert values.dtype == np.float64
+    assert hashlib.sha256(values.tobytes()).hexdigest() == values_sha256
+    truth = json.dumps(population_truth(pop, kind), sort_keys=True)
+    assert hashlib.sha256(truth.encode()).hexdigest() == truth_sha256
