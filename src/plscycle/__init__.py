@@ -27,6 +27,7 @@ from .cyclic import (
     build_feedback_model,
     estimate_cyclic,
     reinforcement_test,
+    reinforcement_tests,
     score_column_name,
 )
 from .dataset import (
@@ -120,6 +121,7 @@ __all__ = [
     "build_feedback_model",
     "estimate_cyclic",
     "reinforcement_test",
+    "reinforcement_tests",
     "score_column_name",
     "MIN_REPLICATES",
     "BootstrapResult",

@@ -160,12 +160,11 @@ def assess(fit: PlsFit, data: PreparedData | Moments, boot=None) -> ReliabilityR
     not-applicable. Loading confidence intervals are attached when a bootstrap
     result is supplied.
     """
-    moments = data if isinstance(data, Moments) else data.moments()
     rows: list[ConstructReliability] = []
     for name in fit.constructs:
         mode = fit.modes[name]
         lam = fit.loadings[name]
-        lo, hi = moments.block_index[name]
+        lo, hi = data.block_index[name]
         exempt = mode in UNIT_MODES or hi - lo < 2
         if exempt or mode == "formative":
             flag = FLAG_EXEMPT if exempt else FLAG_NA
@@ -173,7 +172,7 @@ def assess(fit: PlsFit, data: PreparedData | Moments, boot=None) -> ReliabilityR
             flags = dict.fromkeys((*_THRESHOLDS, "unidimensionality"), flag)
             loading_flags = [flag] * len(lam)
         else:
-            corr = moments.corr[lo:hi, lo:hi]
+            corr = data.corr[lo:hi, lo:hi]
             values = {
                 "alpha": _alpha(corr),
                 "composite_reliability": composite_reliability(lam),
@@ -186,7 +185,7 @@ def assess(fit: PlsFit, data: PreparedData | Moments, boot=None) -> ReliabilityR
             loading_flags = [threshold_flag(float(v), LOADING_THRESHOLD) for v in lam]
         indicators = tuple(
             IndicatorReliability(col, float(v), _indicator_ci(boot, name, col), mark)
-            for col, v, mark in zip(moments.columns[lo:hi], lam, loading_flags)
+            for col, v, mark in zip(data.columns[lo:hi], lam, loading_flags)
         )
         rows.append(ConstructReliability(name, mode, indicators=indicators, flags=flags, **values))
     return ReliabilityReport(constructs=tuple(rows))

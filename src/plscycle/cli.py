@@ -21,13 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .assessment import assess
-from .cyclic import (
-    DIRECTIONS,
-    CyclicFit,
-    TestResult,
-    estimate_cyclic,
-    reinforcement_test,
-)
+from .cyclic import DIRECTIONS, estimate_cyclic, reinforcement_tests
 from .dataset import MISSING_POLICIES, load_table, prepare_blocks
 from .errors import DataError, DataFileError, EstimationError, ModelError
 from .modelspec import SCHEMES, ModelSpec, parse_model, validate_model
@@ -98,13 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="estimate a sequential model")
     _add_run_flags(p_fit, cyclic=False)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.set_defaults(func=cmd_run)
 
     p_cyc = sub.add_parser(
         "cyclic", help="two-step feedback estimation plus reinforcement tests"
     )
     _add_run_flags(p_cyc, cyclic=True)
-    p_cyc.set_defaults(func=cmd_cyclic)
+    p_cyc.set_defaults(func=cmd_run)
 
     p_sim = sub.add_parser("simulate", help="generate synthetic data")
     p_sim.add_argument("--population", required=True, help="population document (JSON)")
@@ -179,48 +173,35 @@ def _settings(args: argparse.Namespace, spec: ModelSpec) -> dict:
     return settings
 
 
-def _check_resampling(args: argparse.Namespace, minimum: int, why: str = "") -> None:
+def cmd_run(args: argparse.Namespace) -> int:
+    """``fit`` and ``cyclic``: estimate, bootstrap, assess and report.
+
+    ``fit`` bootstraps the sequential model alone, so a cyclic section it
+    does not estimate cannot fail its replicates.
+    """
+    spec = _load_spec(args)
+    cyclic = args.command == "cyclic"
+    minimum = MIN_REPLICATES if cyclic else 0
+    if cyclic and spec.cyclic is None:
+        raise ModelError("no cyclic specification in the model document")
     if args.bootstrap < minimum:
+        why = "reinforcement tests need bootstrap standard errors; " if cyclic else ""
         raise ValueError(f"{why}--bootstrap must be >= {minimum}, got {args.bootstrap}")
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must be in (0, 1), got {args.level}")
-
-
-def cmd_fit(args: argparse.Namespace) -> int:
-    _check_resampling(args, 0)
-    spec = _load_spec(args)
     data = _prepare(args, spec)
     fit = _fit_or_fail(data, spec, args)
-    boot = None
+    cyc = boot = tests = None
+    if cyclic:
+        cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)
     if args.bootstrap > 0:
         boot = bootstrap(
-            data, spec, args.bootstrap,
+            data, spec if cyclic else dataclasses.replace(spec, cyclic=None), args.bootstrap,
             level=args.level, seed=args.seed,
             tol=args.tol, max_iter=args.max_iter,
         )
-    report = build_run_report(
-        spec, data, fit,
-        version=__version__, seed=args.seed, settings=_settings(args, spec),
-        assessment=assess(fit, data, boot), boot=boot,
-    )
-    _emit(report, args.out, args.fmt)
-    return 0
-
-
-def cmd_cyclic(args: argparse.Namespace) -> int:
-    spec = _load_spec(args)
-    if spec.cyclic is None:
-        raise ModelError("no cyclic specification in the model document")
-    _check_resampling(args, MIN_REPLICATES, "reinforcement tests need bootstrap standard errors; ")
-    data = _prepare(args, spec)
-    fit = _fit_or_fail(data, spec, args)
-    cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)
-    boot = bootstrap(
-        data, spec, args.bootstrap,
-        level=args.level, seed=args.seed,
-        tol=args.tol, max_iter=args.max_iter,
-    )
-    tests = _run_tests(cyc, boot, data.n_effective, args.direction)
+    if cyclic:
+        tests = reinforcement_tests(cyc, boot, data.n_effective, args.direction)
     report = build_run_report(
         spec, data, fit,
         version=__version__, seed=args.seed, settings=_settings(args, spec),
@@ -228,29 +209,6 @@ def cmd_cyclic(args: argparse.Namespace) -> int:
     )
     _emit(report, args.out, args.fmt)
     return 0
-
-
-def _run_tests(
-    cyc: CyclicFit, boot, n: int, direction: str
-) -> dict[tuple[str, str], TestResult | str]:
-    tests: dict[tuple[str, str], TestResult | str] = {}
-    for pair, beta_ce in cyc.cyclic_paths.items():
-        beta_se = cyc.paired_sequential[pair]
-        if beta_se is None:
-            continue
-        source, target = pair
-        try:
-            tests[pair] = reinforcement_test(
-                beta_se,
-                beta_ce,
-                boot.paths[(target, source)].se,
-                boot.cyclic_paths[pair].se,
-                n,
-                direction=direction,
-            )
-        except ValueError as exc:
-            tests[pair] = f"test not computable: {exc}"
-    return tests
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -306,3 +264,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -10,6 +10,7 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -90,10 +91,11 @@ def estimate_cyclic(
 
     The step-1 source score joins the indicator correlation matrix as a new
     row and column; target blocks reuse their prepared columns (an
-    mca-single-item target is its collapsed score column). On moments alone
-    the step-2 fit builds no scores. Pairing uses the direct sequential edge
-    target -> source when present; otherwise the pair is left without a
-    mirror and the reinforcement test for it is skipped downstream. Never
+    mca-single-item target is its collapsed score column). The step-2 fit runs
+    on moments alone; on prepared data its scores are then the step-1 source
+    score and the target blocks' rows times the step-2 weights. Pairing uses
+    the direct sequential edge target -> source when present; otherwise the
+    pair is left without a mirror and ``reinforcement_tests`` skips it. Never
     mutates the step-1 fit or the input data.
     """
     _guard_cyclic(spec)
@@ -106,22 +108,23 @@ def estimate_cyclic(
 
     # extend R by the step-1 source score: its covariance with every column is
     # R[:, source] w_source, and its own variance is w_source' R w_source
-    moments = data if isinstance(data, Moments) else data.moments()
-    lo, hi = moments.block_index[source]
+    lo, hi = data.block_index[source]
     weights = fit.weights[source]
-    cov = moments.corr[:, lo:hi] @ weights
-    corr = np.block([[moments.corr, cov[:, None]], [cov, np.atleast_2d(cov[lo:hi] @ weights)]])
+    cov = data.corr[:, lo:hi] @ weights
+    corr = np.block([[data.corr, cov[:, None]], [cov, np.atleast_2d(cov[lo:hi] @ weights)]])
     targets = spec.cyclic.targets
-    block_index = {source: (len(cov), len(cov) + 1), **{t: moments.block_index[t] for t in targets}}
-    rows = None
-    if moments.rows is not None:
-        rows = {source: fit.score(source)[:, None], **{t: moments.rows[t] for t in targets}}
-    step2_data = Moments(corr, block_index, moments.columns + (column,), rows)
+    block_index = {source: (len(cov), len(cov) + 1), **{t: data.block_index[t] for t in targets}}
+    step2_data = Moments(corr, block_index, data.columns + (column,))
     step2_fit = fit_pls(step2_data, step2_spec, tol=tol, max_iter=max_iter)
     if not step2_fit.converged:
         raise EstimationError(
             f"step-2 estimation did not converge in {max_iter} iterations"
         )
+    if isinstance(data, PreparedData):
+        w = step2_fit.weights
+        scores = [fit.score(source) * w[source][0]]
+        scores += [data.matrix[:, slice(*data.block_index[t])] @ w[t] for t in targets]
+        step2_fit = dataclasses.replace(step2_fit, scores=np.column_stack(scores))
     cyclic_paths = {
         (source, t): step2_fit.paths[(source, t)] for t in spec.cyclic.targets
     }
@@ -135,6 +138,31 @@ def estimate_cyclic(
         cyclic_paths=cyclic_paths,
         paired_sequential=paired,
     )
+
+
+def reinforcement_tests(
+    cyc: CyclicFit, boot, n: int, direction: str = "ce_gt_se"
+) -> dict[tuple[str, str], TestResult | str]:
+    """The reinforcement test of every cyclic pair, or the reason it is skipped.
+
+    Each cyclic coefficient source -> target is compared with its mirror
+    target -> source using the bootstrap standard errors of both (``boot`` is
+    a ``BootstrapResult`` of the cyclic model). A pair without a direct
+    mirror, or whose test cannot be computed, maps to its skip reason.
+    """
+    tests: dict[tuple[str, str], TestResult | str] = {}
+    for pair, beta_ce in cyc.cyclic_paths.items():
+        source, target = pair
+        beta_se = cyc.paired_sequential[pair]
+        if beta_se is None:
+            tests[pair] = f"no direct sequential path {target} -> {source}"
+            continue
+        sigma_se, sigma_ce = boot.paths[(target, source)].se, boot.cyclic_paths[pair].se
+        try:
+            tests[pair] = reinforcement_test(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
+        except ValueError as exc:
+            tests[pair] = f"test not computable: {exc}"
+    return tests
 
 
 def reinforcement_test(

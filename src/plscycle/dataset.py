@@ -11,6 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,8 @@ class PreparedData:
     ``matrix`` columns follow block declaration order, with each
     mca-single-item block collapsed to one score column named after its
     construct. ``block_index`` maps construct name to a half-open column
-    range. Treat instances as immutable.
+    range. ``corr`` is formed on first use and kept, so treat instances as
+    immutable.
     """
 
     matrix: np.ndarray
@@ -52,25 +54,26 @@ class PreparedData:
     missing_cells: dict[str, int]
     mca_inertia_share: dict[str, float]
 
+    @cached_property
+    def corr(self) -> np.ndarray:
+        """Cross-product moments X'X/n of the standardized matrix, formed once."""
+        return self.matrix.T @ self.matrix / self.matrix.shape[0]
+
     def moments(self) -> Moments:
-        """Cross-product moments X'X/n of the standardized matrix, with its rows."""
-        rows = {name: self.matrix[:, lo:hi] for name, (lo, hi) in self.block_index.items()}
-        corr = self.matrix.T @ self.matrix / self.matrix.shape[0]
-        return Moments(corr, self.block_index, self.columns, rows)
+        """The correlation matrix and its layout, without the rows."""
+        return Moments(self.corr, self.block_index, self.columns)
 
 
 @dataclass(frozen=True)
 class Moments:
     """Correlation matrix of standardized indicator columns, with their layout.
 
-    ``rows`` maps a construct to its block's n-row matrix when the rows are
-    at hand; a fit without them (a bootstrap replicate) builds no scores.
+    A fit on moments alone (a bootstrap replicate) builds no scores.
     """
 
     corr: np.ndarray
     block_index: dict[str, tuple[int, int]]
     columns: tuple[str, ...]
-    rows: dict[str, np.ndarray] | None = None
 
 
 def load_table(path: str) -> RawTable:

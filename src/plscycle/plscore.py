@@ -7,7 +7,7 @@ proxies (centroid, factorial, or path scheme); mode A weights are
 R[block, :] W e_i, mode B solves against R[block, block], and single-item
 blocks keep a fixed unit weight. Loadings are R[block, :] w_i / sqrt(w_i' R
 w_i); path coefficients are OLS on the score correlations. Scores are built
-once, from the rows, when the input has them.
+once, from the rows, when the input is prepared data.
 
 All location parameters are identically zero because every column entering
 the estimator is standardized; reports list them as 0 for completeness.
@@ -143,13 +143,12 @@ def fit_pls(
     loading sum is non-negative. Convergence is the maximum absolute weight
     change across all blocks dropping below ``tol``; hitting ``max_iter``
     returns a fit with ``converged=False`` rather than raising. Scores are
-    built only when the input carries rows.
+    built only on prepared data, which has the rows.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
-    moments = data if isinstance(data, Moments) else data.moments()
     constructs = spec.block_names()
     k = len(constructs)
     index = {name: i for i, name in enumerate(constructs)}
@@ -158,14 +157,14 @@ def fit_pls(
     columns: list[int] = []
     slices: list[slice] = []
     for block in spec.blocks:
-        lo, hi = moments.block_index[block.name]
+        lo, hi = data.block_index[block.name]
         if block.mode in UNIT_MODES and hi - lo != 1:
             raise EstimationError(
                 f"block '{block.name}' must be prepared to exactly one column"
             )
         slices.append(slice(len(columns), len(columns) + hi - lo))
         columns.extend(range(lo, hi))
-    r = moments.corr[np.ix_(columns, columns)]
+    r = data.corr[np.ix_(columns, columns)]
     within = [r[s, s] for s in slices]
     # member[j, i] is 1 when model column j belongs to block i, else 0
     member = np.eye(k)[np.repeat(np.arange(k), [len(w) for w in within])]
@@ -218,8 +217,9 @@ def fit_pls(
     std = np.sqrt(np.diag(score_cov))
     paths, r_squared = _structural(score_cov / np.outer(std, std), spec, constructs)
     scores = None
-    if moments.rows is not None:
-        scores = np.column_stack([moments.rows[name] @ w for name, w in zip(constructs, weights)])
+    if isinstance(data, PreparedData):
+        blocks = [data.matrix[:, slice(*data.block_index[name])] for name in constructs]
+        scores = np.column_stack([rows @ w for rows, w in zip(blocks, weights)])
     return PlsFit(
         constructs=constructs,
         modes={name: modes[i] for i, name in enumerate(constructs)},

@@ -91,31 +91,23 @@ def _assessment_section(report: ReliabilityReport) -> dict:
 
 def _pair_entries(
     cyc: CyclicFit,
-    boot: BootstrapResult | None,
-    tests: Mapping[tuple[str, str], TestResult | str] | None,
+    boot: BootstrapResult,
+    tests: Mapping[tuple[str, str], TestResult | str],
 ) -> list[dict]:
     pairs = []
     for (source, target), beta_ce in cyc.cyclic_paths.items():
         entry: dict = {"target": target, "beta_ce": float(beta_ce)}
-        if boot is not None and (source, target) in boot.cyclic_paths:
-            entry["sigma_ce"] = float(boot.cyclic_paths[(source, target)].se)
-        beta_se = cyc.paired_sequential[(source, target)]
-        outcome = tests.get((source, target)) if tests else None
-        if beta_se is None or isinstance(outcome, str):
-            entry["skipped_reason"] = (
-                outcome
-                if isinstance(outcome, str)
-                else f"no direct sequential path {target} -> {source}"
-            )
-            pairs.append(entry)
-            continue
-        entry["beta_se"] = float(beta_se)
-        entry["abs_diff"] = abs(float(beta_se) - float(beta_ce))
-        if boot is not None and (target, source) in boot.paths:
-            entry["sigma_se"] = float(boot.paths[(target, source)].se)
-        if outcome is not None:
+        entry["sigma_ce"] = float(boot.cyclic_paths[(source, target)].se)
+        outcome = tests[(source, target)]
+        if isinstance(outcome, str):
+            entry["skipped_reason"] = outcome
+        else:
+            beta_se = float(cyc.paired_sequential[(source, target)])
             entry.update(
                 {
+                    "beta_se": beta_se,
+                    "abs_diff": abs(beta_se - float(beta_ce)),
+                    "sigma_se": float(boot.paths[(target, source)].se),
                     "t": float(outcome.t_statistic),
                     "df": int(outcome.df),
                     "p": float(outcome.p_value),
@@ -140,7 +132,10 @@ def build_run_report(
     cyclic: CyclicFit | None = None,
     tests: Mapping[tuple[str, str], TestResult | str] | None = None,
 ) -> dict:
-    """Assemble the run-report dict; keys for features that did not run are absent."""
+    """Assemble the run-report dict; keys for features that did not run are absent.
+
+    A ``cyclic`` section needs ``boot`` and the ``reinforcement_tests`` mapping.
+    """
     block_columns = {
         name: data.columns[lo:hi] for name, (lo, hi) in data.block_index.items()
     }
@@ -191,7 +186,7 @@ def build_run_report(
             "step2": _fit_section(
                 cyclic.step2_fit,
                 step2_columns,
-                boot.cyclic_paths if boot else None,
+                boot.cyclic_paths,
                 None,
             ),
             "pairs": _pair_entries(cyclic, boot, tests),
@@ -199,14 +194,12 @@ def build_run_report(
     return report
 
 
-def _fmt(value: object, width: int = 0) -> str:
+def _fmt(value: object) -> str:
     if isinstance(value, bool):
-        text = "yes" if value else "no"
-    elif isinstance(value, float):
-        text = f"{value:.3f}"
-    else:
-        text = str(value)
-    return text.ljust(width) if width else text
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return f"{value:.3f}"
+    return str(value)
 
 
 def _table(header: list[str], rows: list[list[object]]) -> list[str]:

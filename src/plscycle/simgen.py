@@ -261,7 +261,10 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
             raise ModelError("formative generation is not supported")
         _check_keys(raw, {"name", "loadings", "single_item"}, "population construct")
         name = _require_str(raw.get("name"), "population construct name")
-        if raw.get("single_item"):
+        single = raw.get("single_item", False)
+        if not isinstance(single, bool):
+            raise ModelError(f"construct '{name}' single_item must be true or false")
+        if single:
             loadings: tuple[float, ...] = (1.0,)
             if "loadings" in raw:
                 raise ModelError(

@@ -99,6 +99,28 @@ def test_fit_bootstrap_adds_interval_fields(tmp_path, capsys):
         assert path["ci"][0] <= path["ci"][1]
 
 
+def test_fit_bootstraps_only_the_sequential_model(tmp_path, capsys):
+    # X3's indicator is named like X3's step-2 score column, so step 2 fails
+    doc = cyclic_model()
+    doc["blocks"][2]["indicators"] = ["X3__score"]
+    model = write_model(tmp_path, doc)
+    sequential = json.loads(json.dumps(doc))
+    del sequential["cyclic"]
+    plain = write_model(tmp_path, sequential, name="plain.json")
+    data = write_csv(
+        tmp_path, ["x1", "x2", "X3__score"], exact_correlation_sample(TRIANGLE_R, 200, seed=1)
+    )
+    flags = ["--data", data, "--bootstrap", "100", "--seed", "4"]
+    report = run_json(capsys, ["fit", "--model", model, *flags])
+    expected = run_json(capsys, ["fit", "--model", plain, *flags])
+    assert report["model"]["cyclic"] == {"source": "X3", "targets": ["X1", "X2"]}
+    assert report["bootstrap"] == expected["bootstrap"]
+    assert report["bootstrap"]["failures"] == 0
+    assert report["fit"] == expected["fit"]
+    assert main(["cyclic", "--model", model, *flags]) == 3
+    assert "collides with a data column" in capsys.readouterr().err
+
+
 def test_settings_echo_cli_choices(tmp_path, capsys):
     model, data = triangle_files(tmp_path, TRIANGLE_MODEL)
     report = run_json(
@@ -311,7 +333,7 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
         "assert plscycle.cli.main(['simulate', '--population', sys.argv[1],"
         " '--out', sys.argv[2]]) == 0\n"
         "seen['simulate'] = scipy_modules()\n"
-        "plscycle.cli.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
+        "plscycle.cyclic.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
         "seen['test'] = scipy_modules()\n"
         "print(json.dumps(seen))\n"
     )
@@ -437,6 +459,21 @@ def test_missing_cells_are_counted_with_mean_policy(tmp_path, capsys):
         capsys, ["fit", "--model", model, "--data", str(data), "--bootstrap", "0"]
     )
     assert listwise["data"]["n_effective"] == 38
+
+
+def test_module_runs_as_a_script(tmp_path):
+    src = str(Path(plscycle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    script = [sys.executable, "-m", "plscycle.cli"]
+    done = subprocess.run([*script, "--version"], capture_output=True, text=True, env=env)
+    assert done.returncode == 0 and done.stdout == f"plscycle {__version__}\n"
+    bad = tmp_path / "broken.json"
+    bad.write_text("{not json", encoding="utf-8")
+    done = subprocess.run(
+        [*script, "validate", "--model", str(bad)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith("plscycle: error: ")
 
 
 def test_version_flag_prints_and_exits_0(capsys):

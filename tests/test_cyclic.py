@@ -10,11 +10,13 @@ from plscycle import (
     DIRECTIONS,
     EstimationError,
     ModelError,
+    bootstrap,
     build_feedback_model,
     estimate_cyclic,
     fit_pls,
     parse_model,
     reinforcement_test,
+    reinforcement_tests,
     score_column_name,
 )
 
@@ -198,6 +200,30 @@ def test_pairing_uses_direct_sequential_edge_only():
     cyc = estimate_cyclic(data, fit, spec)
     assert cyc.paired_sequential[("X3", "X2")] == fit.paths[("X2", "X3")]
     assert cyc.paired_sequential[("X3", "X1")] is None  # only indirect path
+
+
+def test_reinforcement_tests_pair_each_cyclic_effect_with_its_mirror():
+    spec = chain_spec(cyclic={"source": "X3"})
+    data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=3), spec)
+    fit = fit_pls(data, spec)
+    cyc = estimate_cyclic(data, fit, spec)
+    boot = bootstrap(data, spec, b=100, seed=1)
+    tests = reinforcement_tests(cyc, boot, 250, direction="two_sided")
+    assert list(tests) == [("X3", "X1"), ("X3", "X2")]
+    assert tests[("X3", "X1")] == "no direct sequential path X1 -> X3"
+    assert tests[("X3", "X2")] == reinforcement_test(
+        fit.paths[("X2", "X3")],
+        cyc.cyclic_paths[("X3", "X2")],
+        boot.paths[("X2", "X3")].se,
+        boot.cyclic_paths[("X3", "X2")].se,
+        250,
+        direction="two_sided",
+    )
+    flat = dataclasses.replace(boot.paths[("X2", "X3")], se=0.0)
+    flat_boot = dataclasses.replace(boot, paths={**boot.paths, ("X2", "X3"): flat})
+    assert reinforcement_tests(cyc, flat_boot, 250)[("X3", "X2")] == (
+        "test not computable: standard errors must be positive"
+    )
 
 
 def test_step_two_never_mutates_step_one():

@@ -10,6 +10,7 @@ The reliability battery, which reads only R, must agree with the one that
 reads the block rows.
 """
 
+import dataclasses
 import re
 
 import numpy as np
@@ -192,6 +193,33 @@ def test_fit_on_moments_alone_builds_no_scores():
     cyc, cyc_bare = estimate_cyclic(data, fit, spec), estimate_cyclic(bare, fit_bare, spec)
     assert cyc_bare.step2_fit.scores is None
     assert cyc_bare.cyclic_paths == cyc.cyclic_paths
+
+
+class GramCounter(np.ndarray):
+    """A matrix that counts the products of itself (or its views) with itself."""
+
+    grams = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and all(isinstance(x, GramCounter) for x in inputs):
+            GramCounter.grams += 1
+        inputs = tuple(x.view(np.ndarray) if isinstance(x, GramCounter) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_one_prepared_data_set_forms_its_gram_matrix_once(monkeypatch):
+    spec = parse_model(CYCLIC_MODEL)
+    plain = cyclic_data(spec)
+    data = dataclasses.replace(plain, matrix=plain.matrix.view(GramCounter))
+    monkeypatch.setattr(GramCounter, "grams", 0)
+    fit = fit_pls(data, spec)
+    cyc = estimate_cyclic(data, fit, spec)
+    boot = bootstrap(data, spec, b=100, seed=2)
+    report = assess(fit, data, boot)
+    assert GramCounter.grams == 1
+    assert fit.paths == fit_pls(plain, spec).paths
+    assert cyc.cyclic_paths == estimate_cyclic(plain, fit, spec).cyclic_paths
+    assert report == assess(fit, plain, boot)
 
 
 def exact_moments(data, seed, r):

@@ -302,6 +302,22 @@ def test_parse_population_full_document():
         (lambda d: d["constructs"][0].update(loadings=[10**400]), "loading of construct 'A'"),
         (lambda d: d.update(disturbances=[None, 1.0]), "disturbance variance must be"),
         (lambda d: d.update(disturbances=[1.0, False]), "disturbance variance must be"),
+        (
+            lambda d: d["constructs"].__setitem__(0, {"name": "A", "single_item": "no"}),
+            "construct 'A' single_item must be true or false",
+        ),
+        (
+            lambda d: d["constructs"][0].update(single_item=0),
+            "construct 'A' single_item must be true or false",
+        ),
+        (
+            lambda d: d["constructs"].__setitem__(0, {"name": "A", "single_item": None}),
+            "construct 'A' single_item must be true or false",
+        ),
+        (
+            lambda d: d["constructs"][0].update(single_item=True),
+            "construct 'A' declares both single_item and loadings",
+        ),
     ],
 )
 def test_parse_population_errors(mutate, message):
@@ -318,6 +334,18 @@ def test_parse_population_errors(mutate, message):
     mutate(doc)
     with pytest.raises(ModelError, match=message):
         parse_population(doc)
+
+
+def test_parse_population_single_item_flag_is_a_bool():
+    doc = {
+        "n": 100,
+        "constructs": [
+            {"name": "A", "single_item": True},
+            {"name": "B", "single_item": False, "loadings": [0.8, 0.7]},
+        ],
+    }
+    pop, _ = parse_population(doc)
+    assert [c.loadings for c in pop.constructs] == [(1.0,), (0.8, 0.7)]
 
 
 def test_parse_population_reports_json_position():
