@@ -17,12 +17,13 @@ import csv
 import dataclasses
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
 from .assessment import assess
 from .cyclic import DIRECTIONS, estimate_cyclic, reinforcement_tests
-from .dataset import MISSING_POLICIES, load_table, prepare_blocks
+from .dataset import MISSING_POLICIES, _forked, _relay, load_table, prepare_blocks
 from .errors import DataError, DataFileError, EstimationError, ModelError
 from .modelspec import SCHEMES, ModelSpec, parse_model, validate_model
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_pls
@@ -211,18 +212,40 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _csv_body(values) -> Iterator[str]:
+    """Rows as ``csv.writer`` writes them, ``_WRITE_ROWS`` rows a string.
+
+    A float's str is its repr, which never needs quoting; chunks keep the
+    Python floats few.
+    """
+    for start in range(0, len(values), _WRITE_ROWS):
+        rows = values[start:start + _WRITE_ROWS].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     pop, kind = parse_population(_read_text(args.population))
     if args.seed is not None:
         pop = dataclasses.replace(pop, seed=args.seed)
     table = gen_acyclic(pop) if kind == "acyclic" else gen_cyclic_equilibrium(pop)
+    values = table.values
+    half = len(values) // 2
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
-        # the body is what csv.writer would write: a float's str is its repr,
-        # which never needs quoting; chunks keep the Python floats few
-        for start in range(0, len(table.values), _WRITE_ROWS):
-            rows = table.values[start:start + _WRITE_ROWS].tolist()
-            handle.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        # a forked child formats the back half of a large body meanwhile
+        with _forked(
+            lambda: "".join(_csv_body(values[half:])).encode("utf-8"), values.nbytes
+        ) as pipe:
+            handle.writelines(_csv_body(values if pipe is None else values[:half]))
+            if pipe is not None:
+                handle.flush()
+                mark = handle.buffer.tell()
+                if not _relay(pipe, handle.buffer):
+                    handle.buffer.seek(mark)
+                    handle.buffer.truncate()
+                    handle.writelines(_csv_body(values[half:]))
     truth = population_truth(pop, kind)
     sidecar = Path(args.out).with_suffix(".truth.json")
     sidecar.write_text(

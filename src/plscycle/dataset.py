@@ -7,8 +7,11 @@ single-predictor path coefficient exactly the Pearson correlation.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
+import signal
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +27,11 @@ MISSING_POLICIES = ("listwise", "mean")
 # relative tolerance below which two leading principal inertias are one
 # eigenspace and the first dimension must be pinned inside it
 _TIE_RTOL = 1e-9
+
+# a file to parse, or an array for ``simulate`` to write, of at least this many
+# bytes is split between two processes; on a 2-vCPU VM a fork paid for itself
+# from a file of about 1 MiB
+_FORK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -118,10 +126,12 @@ def _read_header(reader, path: str) -> tuple[str, ...]:
 
 
 def _plain_body_rows(path: str) -> int | None:
-    """Body line count, or None if the file has a quote, a CR or an NA in its body.
+    """Body line count, or None if the body has a quote, a CR, an NA or a blank line.
 
     A header may hold ``NA`` inside a column name; a quote there could span
-    lines, so it sends the whole file to the row-by-row reader.
+    lines, so it sends the whole file to the row-by-row reader. So does a
+    blank body line: ``np.loadtxt`` skips it, where the row-by-row reader
+    calls it a ragged row.
     """
     with open(path, "rb") as handle:
         first = handle.readline()
@@ -129,9 +139,13 @@ def _plain_body_rows(path: str) -> int | None:
             return None
         lines, last = 0, b"\n"
         for chunk in iter(lambda: handle.read(1 << 20), b""):
-            if b'"' in chunk or b"\r" in chunk or b"NA" in last + chunk:
+            joined = last + chunk
+            if b'"' in chunk or b"\r" in chunk or (b"N" in joined and b"NA" in joined):
                 return None
-            lines += chunk.count(b"\n")
+            ends = np.flatnonzero(np.frombuffer(joined, np.uint8) == ord("\n"))
+            if (np.diff(ends) == 1).any():
+                return None
+            lines += len(ends) - (last == b"\n")
             last = chunk[-1:]
     return lines + (last != b"\n")  # a last line may lack its newline
 
@@ -140,26 +154,127 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
     """The body as an (n, width) array of finite floats, or None to fall back.
 
     ``np.loadtxt`` gives the value ``float`` gives for every cell it accepts,
-    but it also accepts ``nan`` and ``inf`` and skips blank lines, so the
-    result stands only if every value is finite and every body line gave a
-    row. It reads the path itself: a decoded copy of the body would take four
-    bytes per character.
+    but it also accepts ``nan`` and ``inf``, so the result stands only if
+    every value is finite and every body line gave a row. It reads the path
+    itself: a decoded copy of the body would take four bytes per character.
+    A large body is parsed in two halves, the back one by a forked child.
     """
     rows = _plain_body_rows(path)
     if rows is None or rows < 2:
         return None
+    half = rows // 2
     try:
-        with warnings.catch_warnings():
-            # a body of blank lines warns "no data"; the shape check rejects it
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(
-                path, delimiter=",", skiprows=1, ndmin=2, comments=None, encoding="utf-8-sig"
-            )
+        with _forked(
+            lambda: _loadtxt(path, half, rows - half, width), os.path.getsize(path)
+        ) as pipe:
+            if pipe is None:
+                return _loadtxt(path, 0, rows, width)
+            values = np.empty((rows, width))
+            values[:half] = _loadtxt(path, 0, half, width)
+            if not _receive(pipe, values[half:]):
+                values[half:] = _loadtxt(path, half, rows - half, width)
+            return values
     except ValueError:
         return None
+
+
+def _loadtxt(path: str, skip: int, rows: int, width: int) -> np.ndarray:
+    """Body lines ``skip`` to ``skip + rows`` of a plain file, all finite.
+
+    Raises ValueError unless every one of those lines gave a row of ``width``
+    values. ``max_rows`` counts rows, not lines, which is the same here
+    because the plain scan declines blank lines.
+    """
+    with warnings.catch_warnings():
+        # loadtxt warns of lines with no data; the shape check rejects them
+        warnings.simplefilter("ignore", UserWarning)
+        values = np.loadtxt(
+            path, delimiter=",", skiprows=1 + skip, max_rows=rows, ndmin=2,
+            comments=None, encoding="utf-8-sig",
+        )
     if values.shape != (rows, width) or not np.isfinite(values).all():
-        return None
+        raise ValueError("not a plain numeric body")
     return values
+
+
+@contextlib.contextmanager
+def _forked(work, size: int):
+    """Run ``work`` in one forked child; yield a pipe that reads back its result.
+
+    ``work`` returns a bytes-like object. The child computes all of it first,
+    so the caller does its own share meanwhile, then writes its length (8
+    bytes, little-endian) and its bytes, and the caller reads no more than
+    that length. A child that fails writes less than it promised, or nothing.
+    No child runs, and the pipe is None, below ``_FORK_BYTES`` of ``size``,
+    on fewer than two CPUs, or where the fork fails. In each of these cases
+    the caller does the child's share itself. Leaving the block reaps the
+    child.
+    """
+    if (
+        size < _FORK_BYTES
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or len(os.sched_getaffinity(0)) < 2
+    ):
+        yield None
+        return
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork beside BLAS threads; the child runs no BLAS
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = memoryview(work()).cast("B")
+            with open(write_fd, "wb") as out:
+                out.write(payload.nbytes.to_bytes(8, "little"))
+                out.write(payload)
+            status = 0
+        finally:
+            # no atexit handlers, no second flush of the parent's buffered files
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield pipe
+    finally:
+        os.kill(pid, signal.SIGKILL)  # a no-op on a child that has exited
+        os.waitpid(pid, 0)
+
+
+def _payload_size(pipe) -> int | None:
+    """The length a forked child promised, or None if it wrote nothing."""
+    head = pipe.read(8)
+    return int.from_bytes(head, "little") if len(head) == 8 else None
+
+
+def _receive(pipe, into: np.ndarray) -> bool:
+    """Read a forked child's result into ``into``; True if it filled it exactly."""
+    view = memoryview(into).cast("B")
+    return _payload_size(pipe) == view.nbytes and pipe.readinto(view) == view.nbytes
+
+
+def _relay(pipe, out) -> bool:
+    """Copy a forked child's result to the binary file ``out`` in 1 MiB chunks.
+
+    True if all of it arrived; otherwise ``out`` may hold a part of it.
+    """
+    left = _payload_size(pipe)
+    while left:
+        chunk = pipe.read(min(left, 1 << 20))
+        if not chunk:
+            return False
+        out.write(chunk)
+        left -= len(chunk)
+    return left == 0
 
 
 def _load_rows(path: str) -> RawTable:

@@ -301,6 +301,8 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
     seed = obj.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ModelError("population 'seed' must be an integer")
+    if seed < 0:
+        raise ModelError("population 'seed' must be a non-negative integer")
     disturbances = obj.get("disturbances")
     if disturbances is not None:
         if not _is_list(disturbances) or len(disturbances) != k:

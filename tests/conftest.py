@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from plscycle import dataset
 from plscycle.dataset import PreparedData
 
 
@@ -57,3 +60,44 @@ def exact_correlation_sample(target: np.ndarray, n: int, seed: int = 0) -> np.nd
 @pytest.fixture
 def corr_sampler():
     return exact_correlation_sample
+
+
+def force_split(monkeypatch) -> list[int]:
+    """Send every input, however small, to the two-process path.
+
+    Returns the list that the pids of the children forked from now on are
+    appended to.
+    """
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    pids: list[int] = []
+    fork = os.fork
+
+    def counted() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(dataset, "_FORK_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children forked in a test where every input is split."""
+    return force_split(monkeypatch)
+
+
+def in_child_only(monkeypatch, module, name, replacement):
+    """Patch ``module.name`` to ``replacement`` in forked children alone."""
+    parent, real = os.getpid(), getattr(module, name)
+
+    def patched(*args, **kwargs):
+        if os.getpid() == parent:
+            return real(*args, **kwargs)
+        return replacement(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, patched)

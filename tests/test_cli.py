@@ -14,7 +14,7 @@ from plscycle import __version__, cli
 from plscycle.cli import main
 from plscycle.dataset import RawTable
 
-from conftest import exact_correlation_sample
+from conftest import exact_correlation_sample, in_child_only
 
 TRIANGLE_MODEL = {
     "blocks": [
@@ -322,6 +322,43 @@ def test_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch):
     assert lines[1].endswith(",-0.0") and "e-" in lines[1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_forked_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch, forks):
+    test_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch)
+    assert len(forks) == 1
+
+
+def fail_in_child(values):
+    raise RuntimeError("the child fails")
+
+
+def relay_part(pipe, out):
+    out.write(b"0" * (1 << 20))  # more than the whole body: the parent must cut it off
+    return False
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("failure", ["child raises", "relay breaks off"])
+def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
+    tmp_path, capsys, monkeypatch, forks, failure
+):
+    pop = write_model(tmp_path, {**POPULATION, "n": 5000}, name="pop.json")
+    serial = tmp_path / "serial.csv"
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["simulate", "--population", pop, "--out", str(serial)]) == 0
+    assert forks == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    if failure == "child raises":
+        in_child_only(monkeypatch, cli, "_csv_body", fail_in_child)
+    else:
+        monkeypatch.setattr(cli, "_relay", relay_part)
+    out = tmp_path / "forked.csv"
+    assert main(["simulate", "--population", pop, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(forks) == 1
+    assert out.read_bytes() == serial.read_bytes()
+
+
 def test_startup_and_simulate_load_no_scipy(tmp_path):
     pop = write_model(tmp_path, POPULATION, name="pop.json")
     script = (
@@ -357,6 +394,19 @@ def test_simulate_seed_flag_overrides_document(tmp_path, capsys):
     capsys.readouterr()
     assert a.read_bytes() != b.read_bytes()
     assert json.loads(a.with_suffix(".truth.json").read_text())["seed"] == 99
+
+
+def test_simulate_rejects_a_negative_seed_before_generating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "gen_acyclic", lambda pop: pytest.fail("generated"))
+    pop = write_model(tmp_path, POPULATION, name="pop.json")
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--population", pop, "--out", str(out), "--seed", "-1"]) == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+    pop = write_model(tmp_path, {**POPULATION, "seed": -3}, name="negative.json")
+    assert main(["simulate", "--population", pop, "--out", str(out)]) == 2
+    assert "population 'seed' must be a non-negative integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_rejects_explosive_feedback(tmp_path, capsys):

@@ -19,6 +19,8 @@ from plscycle import (
 )
 from plscycle import dataset
 
+from conftest import force_split, in_child_only
+
 # rows {111, 110, 100, 011, 001, 000}; leading principal inertias tie at 4/9
 MCA_FIXTURE = np.array(
     [[1, 1, 1], [1, 1, 0], [1, 0, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]],
@@ -185,6 +187,84 @@ def test_plain_scan_declines_quotes_crs_and_body_na(tmp_path):
     # the first read chunk (1 MiB) ends between the N and the A
     path = write(tmp_path, "a\n" + "1\n" * 524287 + "xNA\n", name="big.csv")
     assert dataset._plain_body_rows(path) is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
+def test_forked_parse_matches_row_reader_on_awkward_inputs(tmp_path, text, forks):
+    test_load_table_matches_row_reader_on_awkward_inputs(tmp_path, text)
+    assert len(forks) <= 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_forked_parse_equals_row_reader():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forks = force_split(monkeypatch)
+        test_vectorized_parse_equals_row_reader()
+    assert forks
+
+
+# six body rows: the front half is lines 2-4, the back half lines 5-7
+SPLIT_BODY = ["1,2", "3,4", "5,6", "7,8", "9,10", "11,12"]
+
+
+def table_text(lines, end="\n"):
+    return "a,b\n" + "\n".join(lines) + end
+
+
+SPLIT_CASES = {
+    "blank line in the front half": table_text(SPLIT_BODY[:2] + [""] + SPLIT_BODY[2:]),
+    "blank line in the back half": table_text(SPLIT_BODY[:4] + [""] + SPLIT_BODY[4:]),
+    "last line without newline": table_text(SPLIT_BODY, end=""),
+    "byte order mark": "\ufeff" + table_text(SPLIT_BODY),
+    "two-row body": table_text(SPLIT_BODY[:2]),
+    "nan in the back half": table_text(SPLIT_BODY[:5] + ["nan,1"]),
+    "ragged row in the front half": table_text(["1"] + SPLIT_BODY[1:]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", SPLIT_CASES.values(), ids=SPLIT_CASES.keys())
+def test_forked_parse_at_the_split(tmp_path, text, forks):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert load_or_message(load_table, str(path)) == load_or_message(dataset._load_rows, str(path))
+    plain = dataset._plain_body_rows(str(path)) is not None
+    assert len(forks) == plain
+
+
+def short_result(path, skip, rows, width):
+    return np.zeros((rows - 1, width))
+
+
+def failing_child(*args):
+    raise RuntimeError("the child fails")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("child", [failing_child, short_result], ids=["raises", "short result"])
+def test_a_failed_child_leaves_the_parent_the_back_half(tmp_path, monkeypatch, forks, child):
+    in_child_only(monkeypatch, dataset, "_loadtxt", child)
+    path = write(tmp_path, table_text(SPLIT_BODY))
+    assert load_or_message(load_table, path) == load_or_message(dataset._load_rows, path)
+    assert len(forks) == 1
+
+
+def refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.filterwarnings("error")
+def test_no_fork_on_one_cpu_or_without_os_fork(tmp_path, monkeypatch):
+    force_split(monkeypatch)
+    path = write(tmp_path, table_text(SPLIT_BODY))
+    expected = load_or_message(dataset._load_rows, path)
+    monkeypatch.setattr(os, "fork", refuse_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert load_or_message(load_table, path) == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delattr(os, "fork")
+    assert load_or_message(load_table, path) == expected
 
 
 def test_standardize_column_closed_form():

@@ -195,6 +195,22 @@ def test_fit_on_moments_alone_builds_no_scores():
     assert cyc_bare.cyclic_paths == cyc.cyclic_paths
 
 
+def test_bootstrap_refits_its_point_estimates_on_moments(monkeypatch):
+    inputs = []
+
+    def recorded(inner):
+        def wrapper(data, *args, **kwargs):
+            inputs.append(type(data))
+            return inner(data, *args, **kwargs)
+        return wrapper
+
+    for name in ("fit_pls", "estimate_cyclic"):
+        monkeypatch.setattr(resample, name, recorded(getattr(resample, name)))
+    spec = parse_model(CYCLIC_MODEL)
+    bootstrap(cyclic_data(spec), spec, b=100, seed=2)
+    assert len(inputs) == 2 * 101 and set(inputs) == {Moments}
+
+
 class GramCounter(np.ndarray):
     """A matrix that counts the products of itself (or its views) with itself."""
 

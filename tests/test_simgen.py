@@ -275,6 +275,7 @@ def test_parse_population_full_document():
         (lambda d: d.update(n="many"), "'n' must be an integer >= 2"),
         (lambda d: d.update(n=True), "'n' must be an integer >= 2"),
         (lambda d: d.update(seed=1.5), "'seed' must be an integer"),
+        (lambda d: d.update(seed=-3), "'seed' must be a non-negative integer"),
         (lambda d: d.update(disturbances=[1.0]), "one variance per construct"),
         (lambda d: d.update(extra=1), "unknown field 'extra'"),
         (
