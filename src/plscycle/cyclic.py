@@ -10,7 +10,6 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -91,9 +90,8 @@ def estimate_cyclic(
 
     The step-1 source score joins the indicator correlation matrix as a new
     row and column; target blocks reuse their prepared columns (an
-    mca-single-item target is its collapsed score column). The step-2 fit runs
-    on moments alone; on prepared data its scores are then the step-1 source
-    score and the target blocks' rows times the step-2 weights. Pairing uses
+    mca-single-item target is its collapsed score column), so the step-2 fit
+    runs on moments alone, whatever the input. Pairing uses
     the direct sequential edge target -> source when present; otherwise the
     pair is left without a mirror and ``reinforcement_tests`` skips it. Never
     mutates the step-1 fit or the input data.
@@ -120,17 +118,8 @@ def estimate_cyclic(
         raise EstimationError(
             f"step-2 estimation did not converge in {max_iter} iterations"
         )
-    if isinstance(data, PreparedData):
-        w = step2_fit.weights
-        scores = [fit.score(source) * w[source][0]]
-        scores += [data.matrix[:, slice(*data.block_index[t])] @ w[t] for t in targets]
-        step2_fit = dataclasses.replace(step2_fit, scores=np.column_stack(scores))
-    cyclic_paths = {
-        (source, t): step2_fit.paths[(source, t)] for t in spec.cyclic.targets
-    }
-    paired = {
-        (source, t): fit.paths.get((t, source)) for t in spec.cyclic.targets
-    }
+    cyclic_paths = {(source, t): step2_fit.paths[(source, t)] for t in targets}
+    paired = {(source, t): fit.paths.get((t, source)) for t in targets}
     return CyclicFit(
         step2_spec=step2_spec,
         step2_fit=step2_fit,

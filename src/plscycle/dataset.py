@@ -13,6 +13,7 @@ import math
 import os
 import signal
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,9 @@ _TIE_RTOL = 1e-9
 # bytes is split between two processes; on a 2-vCPU VM a fork paid for itself
 # from a file of about 1 MiB
 _FORK_BYTES = 1 << 21
+
+# data rows formatted per write by ``write_table``
+_WRITE_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -67,17 +71,14 @@ class PreparedData:
         """Cross-product moments X'X/n of the standardized matrix, formed once."""
         return self.matrix.T @ self.matrix / self.matrix.shape[0]
 
-    def moments(self) -> Moments:
-        """The correlation matrix and its layout, without the rows."""
-        return Moments(self.corr, self.block_index, self.columns)
+    def score(self, name: str, weights: np.ndarray) -> np.ndarray:
+        """The composite score of block ``name``: its rows times ``weights``."""
+        return self.matrix[:, slice(*self.block_index[name])] @ weights
 
 
 @dataclass(frozen=True)
 class Moments:
-    """Correlation matrix of standardized indicator columns, with their layout.
-
-    A fit on moments alone (a bootstrap replicate) builds no scores.
-    """
+    """Correlation matrix of standardized indicator columns, with their layout."""
 
     corr: np.ndarray
     block_index: dict[str, tuple[int, int]]
@@ -88,8 +89,8 @@ def load_table(path: str) -> RawTable:
     """Read a comma-separated UTF-8 table with a mandatory header row.
 
     Empty cells and the token ``NA`` become missing values. Raises
-    DataFileError for unreadable files, ragged rows (reported with their line
-    number), duplicate column names, and non-numeric cells.
+    DataFileError for unreadable or non-UTF-8 files, ragged rows (reported
+    with their line number), duplicate column names, and non-numeric cells.
 
     A body with no quote, no carriage return and no ``NA`` is parsed in one
     vectorized pass; anything that pass cannot take as it is (a missing cell,
@@ -104,11 +105,18 @@ def load_table(path: str) -> RawTable:
     return RawTable(header=header, values=values)
 
 
+@contextlib.contextmanager
 def _open_table(path: str):
+    """The table as text; a byte that is not UTF-8 raises DataFileError."""
     try:
-        return open(path, newline="", encoding="utf-8-sig")
+        handle = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise DataFileError(f"cannot read '{path}': {exc.strerror or exc}") from exc
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise DataFileError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
 
 
 def _read_header(reader, path: str) -> tuple[str, ...]:
@@ -309,6 +317,43 @@ def _load_rows(path: str) -> RawTable:
     if len(rows) < 2:
         raise DataFileError(f"'{path}' must contain at least 2 data rows")
     return RawTable(header=header, values=np.asarray(rows, dtype=np.float64))
+
+
+def _csv_body(values: np.ndarray) -> Iterator[str]:
+    """Rows as ``csv.writer`` writes them, ``_WRITE_ROWS`` rows a string.
+
+    A float's str is its repr, which never needs quoting; chunks keep the
+    Python floats few.
+    """
+    for start in range(0, len(values), _WRITE_ROWS):
+        rows = values[start:start + _WRITE_ROWS].tolist()
+        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_table(path: str, table: RawTable) -> None:
+    """Write ``table`` as the comma-separated UTF-8 text ``load_table`` reads.
+
+    Values are written as ``repr`` gives them, so they read back exactly;
+    the header goes through ``csv.writer``. A forked child formats the back
+    half of a large body while this process writes the front half; if the
+    child fails, the file is cut back to the front half and the back half is
+    written here.
+    """
+    values = table.values
+    half = len(values) // 2
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        csv.writer(handle, lineterminator="\n").writerow(table.header)
+        with _forked(
+            lambda: "".join(_csv_body(values[half:])).encode("utf-8"), values.nbytes
+        ) as pipe:
+            handle.writelines(_csv_body(values if pipe is None else values[:half]))
+            if pipe is not None:
+                handle.flush()
+                mark = handle.buffer.tell()
+                if not _relay(pipe, handle.buffer):
+                    handle.buffer.seek(mark)
+                    handle.buffer.truncate()
+                    handle.writelines(_csv_body(values[half:]))
 
 
 def standardize_column(x: np.ndarray, name: str = "") -> np.ndarray:

@@ -6,8 +6,9 @@ block-diagonal outer weights, the score covariance W'RW yields the inner
 proxies (centroid, factorial, or path scheme); mode A weights are
 R[block, :] W e_i, mode B solves against R[block, block], and single-item
 blocks keep a fixed unit weight. Loadings are R[block, :] w_i / sqrt(w_i' R
-w_i); path coefficients are OLS on the score correlations. Scores are built
-once, from the rows, when the input is prepared data.
+w_i); path coefficients are OLS on the score correlations. A fit is the same
+on prepared data and on its moments; ``PreparedData.score`` turns its weights
+into scores.
 
 All location parameters are identically zero because every column entering
 the estimator is standardized; reports list them as 0 for completeness.
@@ -33,25 +34,16 @@ _COND_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class PlsFit:
-    """Converged outer weights, scores, loadings, paths, and fit diagnostics.
-
-    ``scores`` is None for a fit on moments alone.
-    """
+    """Converged outer weights, loadings, paths, and fit diagnostics."""
 
     constructs: tuple[str, ...]
     modes: dict[str, str]
     weights: dict[str, np.ndarray]
-    scores: np.ndarray | None
     loadings: dict[str, np.ndarray]
     paths: dict[tuple[str, str], float]
     r_squared: dict[str, float]
     iterations: int
     converged: bool
-
-    def score(self, name: str) -> np.ndarray:
-        if self.scores is None:
-            raise ValueError("a fit on moments alone has no scores")
-        return self.scores[:, self.constructs.index(name)]
 
 
 def _solve_ols(corr: np.ndarray, pred: list[int], target: int, label: str) -> np.ndarray:
@@ -142,10 +134,9 @@ def fit_pls(
     unit score variance after every update. Each block is oriented so its
     loading sum is non-negative. Convergence is the maximum absolute weight
     change across all blocks dropping below ``tol``; hitting ``max_iter``
-    returns a fit with ``converged=False`` rather than raising. Scores are
-    built only on prepared data, which has the rows.
+    returns a fit with ``converged=False`` rather than raising.
     """
-    if tol <= 0:
+    if not tol > 0:  # rejects NaN too
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be a positive integer")
@@ -216,15 +207,10 @@ def fit_pls(
     score_cov = w_mat.T @ cross
     std = np.sqrt(np.diag(score_cov))
     paths, r_squared = _structural(score_cov / np.outer(std, std), spec, constructs)
-    scores = None
-    if isinstance(data, PreparedData):
-        blocks = [data.matrix[:, slice(*data.block_index[name])] for name in constructs]
-        scores = np.column_stack([rows @ w for rows, w in zip(blocks, weights)])
     return PlsFit(
         constructs=constructs,
         modes={name: modes[i] for i, name in enumerate(constructs)},
         weights={name: weights[i] for i, name in enumerate(constructs)},
-        scores=scores,
         loadings={name: cross[slices[i], i] / std[i] for i, name in enumerate(constructs)},
         paths=paths,
         r_squared=r_squared,

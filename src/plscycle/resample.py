@@ -241,16 +241,14 @@ def bootstrap(
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
 
-    # refit the point estimates on moments: nothing here reads their scores
-    moments = data.moments()
-    fit0 = fit_pls(moments, spec, tol=tol, max_iter=max_iter)
+    fit0 = fit_pls(data, spec, tol=tol, max_iter=max_iter)
     if not fit0.converged:
         raise EstimationError(
             f"weights did not converge within {max_iter} iterations"
         )
     cyc0: CyclicFit | None = None
     if spec.cyclic is not None:
-        cyc0 = estimate_cyclic(moments, fit0, spec, tol=tol, max_iter=max_iter)
+        cyc0 = estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
 
     path_reps: dict[tuple[str, str], list[float]] = {k: [] for k in fit0.paths}
     loading_estimates = _loadings_by_column(fit0, data)

@@ -143,7 +143,8 @@ def test_criterion_04_cyclic_coefficient_is_a_score_correlation(capsys):
     cyc = estimate_cyclic(data, fit, spec)
     worst = 0.0
     for (source, target), beta_ce in cyc.cyclic_paths.items():
-        rho = np.corrcoef(fit.score(source), cyc.step2_fit.score(target))[0, 1]
+        step1 = data.score(source, fit.weights[source])
+        rho = np.corrcoef(step1, data.score(target, cyc.step2_fit.weights[target]))[0, 1]
         worst = max(worst, abs(beta_ce - rho))
     check(
         capsys, 4, "two-step coefficients equal step-1/step-2 score correlations",

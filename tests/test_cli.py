@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plscycle
-from plscycle import __version__, cli
+from plscycle import __version__, cli, dataset
 from plscycle.cli import main
 from plscycle.dataset import RawTable
 
@@ -191,6 +191,11 @@ def test_cyclic_subcommand_needs_enough_replicates(tmp_path, capsys):
         ("fit", ["--level", "0"], "--level must be in (0, 1), got 0.0"),
         ("fit", ["--level", "nan"], "--level must be in (0, 1), got nan"),
         ("cyclic", ["--level", "1"], "--level must be in (0, 1), got 1.0"),
+        ("fit", ["--tol", "nan"], "--tol must be > 0, got nan"),
+        ("fit", ["--tol", "0"], "--tol must be > 0, got 0.0"),
+        ("cyclic", ["--tol=-1e-6"], "--tol must be > 0, got -1e-06"),
+        ("fit", ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
+        ("cyclic", ["--max-iter=-3"], "--max-iter must be >= 1, got -3"),
     ],
 )
 def test_invalid_resampling_settings_exit_2_before_reading_data(
@@ -303,7 +308,7 @@ def test_simulate_is_deterministic(tmp_path, capsys):
 
 def test_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((2 * cli._WRITE_ROWS + 5, 3))
+    values = rng.standard_normal((2 * dataset._WRITE_ROWS + 5, 3))
     values[:, 1] *= 1e-5  # scientific-notation reprs
     values[:6, 2] = [-0.0, 0.0, 5e-324, 1e16, -1.5e300, 1 / 3]
     table = RawTable(header=("a", "b,c", 'q"d'), values=values)
@@ -349,9 +354,9 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     if failure == "child raises":
-        in_child_only(monkeypatch, cli, "_csv_body", fail_in_child)
+        in_child_only(monkeypatch, dataset, "_csv_body", fail_in_child)
     else:
-        monkeypatch.setattr(cli, "_relay", relay_part)
+        monkeypatch.setattr(dataset, "_relay", relay_part)
     out = tmp_path / "forked.csv"
     assert main(["simulate", "--population", pop, "--out", str(out)]) == 0
     capsys.readouterr()
@@ -444,6 +449,19 @@ def test_unreadable_files_exit_4(tmp_path, capsys):
     assert main(["fit", "--model", model, "--data", str(tmp_path / "nope.csv")]) == 4
     assert "nope.csv" in capsys.readouterr().err
     assert main(["fit", "--model", str(tmp_path / "nope.json"), "--data", data]) == 4
+
+
+@pytest.mark.parametrize("command", ["fit", "validate"])
+@pytest.mark.parametrize(
+    "text", [b"x\xf1,x2,x3\n1,2,3\n4,5,6\n", b"x1,x2,x3\n1,2,3\n4,5,\xe96\n"],
+    ids=["header", "body"],
+)
+def test_latin_1_csv_exits_4(tmp_path, capsys, command, text):
+    model, _ = triangle_files(tmp_path, TRIANGLE_MODEL)
+    bad = tmp_path / "latin1.csv"
+    bad.write_bytes(text)
+    assert main([command, "--model", model, "--data", str(bad)]) == 4
+    assert "'" + str(bad) + "' is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_ragged_csv_exits_4(tmp_path, capsys):

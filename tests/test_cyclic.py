@@ -184,8 +184,8 @@ def test_cyclic_coefficients_equal_score_correlations():
     fit = fit_pls(data, spec)
     cyc = estimate_cyclic(data, fit, spec)
     for target in ("X1", "X2"):
-        step2_score = cyc.step2_fit.score(target)
-        expected = np.corrcoef(fit.score("X3"), step2_score)[0, 1]
+        step2_score = data.score(target, cyc.step2_fit.weights[target])
+        expected = np.corrcoef(data.score("X3", fit.weights["X3"]), step2_score)[0, 1]
         assert abs(cyc.cyclic_paths[("X3", target)] - expected) < 1e-10
     # single-item targets: the step-2 score is the indicator itself, so the
     # cyclic coefficient is the plain construct correlation
@@ -230,12 +230,14 @@ def test_step_two_never_mutates_step_one():
     spec = chain_spec(cyclic={"source": "X3"})
     data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=4), spec)
     fit = fit_pls(data, spec)
-    scores_before = fit.scores.copy()
+    weights_before = {name: w.copy() for name, w in fit.weights.items()}
     paths_before = dict(fit.paths)
     matrix_before = data.matrix.copy()
     columns_before = data.columns
     estimate_cyclic(data, fit, spec)
-    assert np.array_equal(fit.scores, scores_before)
+    assert fit.weights.keys() == weights_before.keys()
+    for name, w in weights_before.items():
+        assert np.array_equal(fit.weights[name], w)
     assert fit.paths == paths_before
     assert np.array_equal(data.matrix, matrix_before)
     assert data.columns == columns_before
@@ -309,7 +311,8 @@ def test_step_two_reestimates_multi_indicator_target_weights():
     cyc = estimate_cyclic(data, fit, spec)
     assert cyc.step2_fit.converged
     assert cyc.step2_fit.weights["Y"].shape == (1,)
-    assert abs(cyc.step2_fit.score("Y").std() - 1.0) < 1e-12
+    step2_source = data.score("Y", fit.weights["Y"]) * cyc.step2_fit.weights["Y"][0]
+    assert abs(step2_source.std() - 1.0) < 1e-12
     assert cyc.step2_fit.weights["A"].shape == (2,)
     # both pairs carry a direct sequential mirror here
     assert cyc.paired_sequential[("Y", "A")] == fit.paths[("A", "Y")]

@@ -111,6 +111,10 @@ READER_CORPUS = {
     "hex": "a,b\n0x10,2\n3,4\n",
     "scientific and subnormal": "a,b\n1e-05,-0.0\n5e-324,1.7976931348623157e+308\n",
     "single column": "a\n1\n2\n3\n",
+    "latin-1 header": "A\u00f1o,b\n1,2\n3,4\n".encode("latin-1"),
+    "latin-1 body": "a,b\n1,2\n3,\u00e9\n".encode("latin-1"),
+    # past the first chunk the header read decodes, so the vectorized parse meets it
+    "latin-1 body past 8 KiB": ("a,b\n" + "1,2\n" * 3000 + "3,\u00e9\n").encode("latin-1"),
 }
 
 
@@ -127,7 +131,7 @@ def load_or_message(load, path):
 @pytest.mark.parametrize("text", READER_CORPUS.values(), ids=READER_CORPUS.keys())
 def test_load_table_matches_row_reader_on_awkward_inputs(tmp_path, text):
     path = tmp_path / "data.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     assert load_or_message(load_table, str(path)) == load_or_message(
         dataset._load_rows, str(path)
     )

@@ -29,7 +29,7 @@ from plscycle import (
     parse_model,
     resample,
 )
-from plscycle.dataset import Moments
+from plscycle.dataset import Moments, PreparedData
 from plscycle.modelspec import SCHEMES
 
 from conftest import make_prepared
@@ -96,7 +96,8 @@ def test_fit_matches_data_space_reference(case):
         return
     fit = fit_pls(data, spec)
     assert fit.converged == expected["converged"]
-    assert max_diff(fit.scores, expected["scores"]) <= TOL
+    scores = np.column_stack([data.score(name, fit.weights[name]) for name in fit.constructs])
+    assert max_diff(scores, expected["scores"]) <= TOL
     for name in fit.constructs:
         assert max_diff(fit.weights[name], expected["weights"][name]) <= TOL
         assert max_diff(fit.loadings[name], expected["loadings"][name]) <= TOL
@@ -125,8 +126,7 @@ def test_assessment_on_r_matches_data_space_reference(case):
             assert (value is None) == (reference is None)
             if value is not None:
                 assert abs(value - reference) <= 1e-12
-    full = data.moments()
-    assert assess(fit, Moments(full.corr, full.block_index, full.columns)) == report
+    assert assess(fit, Moments(data.corr, data.block_index, data.columns)) == report
 
 
 CYCLIC_MODEL = {
@@ -180,22 +180,32 @@ def test_bootstrap_replicates_in_small_chunks_match_data_space_reference(monkeyp
     check_bootstrap_matches_reference(small_budgets(monkeypatch))
 
 
-def test_fit_on_moments_alone_builds_no_scores():
+def assert_same_fit(a, b):
+    """Every field of two fits bitwise equal."""
+    assert (a.constructs, a.modes, a.iterations, a.converged) == (
+        b.constructs, b.modes, b.iterations, b.converged)
+    for name in a.constructs:
+        assert a.weights[name].tobytes() == b.weights[name].tobytes()
+        assert a.loadings[name].tobytes() == b.loadings[name].tobytes()
+    assert a.paths == b.paths and a.r_squared == b.r_squared
+
+
+def test_fit_is_the_same_on_prepared_data_and_on_moments():
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec)
-    full = data.moments()
-    bare = Moments(full.corr, full.block_index, full.columns)
+    bare = Moments(data.corr, data.block_index, data.columns)
     fit, fit_bare = fit_pls(data, spec), fit_pls(bare, spec)
-    assert fit_bare.scores is None
-    with pytest.raises(ValueError, match="no scores"):
-        fit_bare.score("IU")
-    assert fit_bare.paths == fit.paths and fit_bare.iterations == fit.iterations
+    assert_same_fit(fit, fit_bare)
     cyc, cyc_bare = estimate_cyclic(data, fit, spec), estimate_cyclic(bare, fit_bare, spec)
-    assert cyc_bare.step2_fit.scores is None
+    assert_same_fit(cyc.step2_fit, cyc_bare.step2_fit)
+    assert cyc_bare.step2_spec == cyc.step2_spec
     assert cyc_bare.cyclic_paths == cyc.cyclic_paths
+    assert cyc_bare.paired_sequential == cyc.paired_sequential
 
 
-def test_bootstrap_refits_its_point_estimates_on_moments(monkeypatch):
+def test_bootstrap_refits_its_point_estimates_on_the_data_and_replicates_on_moments(
+    monkeypatch,
+):
     inputs = []
 
     def recorded(inner):
@@ -208,7 +218,8 @@ def test_bootstrap_refits_its_point_estimates_on_moments(monkeypatch):
         monkeypatch.setattr(resample, name, recorded(getattr(resample, name)))
     spec = parse_model(CYCLIC_MODEL)
     bootstrap(cyclic_data(spec), spec, b=100, seed=2)
-    assert len(inputs) == 2 * 101 and set(inputs) == {Moments}
+    assert len(inputs) == 2 * 101
+    assert inputs == [PreparedData] * 2 + [Moments] * (2 * 100)
 
 
 class GramCounter(np.ndarray):

@@ -56,7 +56,7 @@ def test_single_predictor_path_equals_score_correlation():
     x[:, 1] += 0.8 * x[:, 0]
     data = make_prepared(x, spec)
     fit = fit_pls(data, spec)
-    r = np.corrcoef(fit.score("A"), fit.score("B"))[0, 1]
+    r = np.corrcoef(data.score("A", fit.weights["A"]), data.score("B", fit.weights["B"]))[0, 1]
     assert abs(fit.paths[("A", "B")] - r) < 1e-12
 
 
@@ -64,11 +64,9 @@ def test_r_squared_equals_one_minus_residual_variance():
     spec = single_item_triangle()
     data = make_prepared(exact_correlation_sample(TRIANGLE_R, 400, seed=2), spec)
     fit = fit_pls(data, spec)
-    fitted = (
-        fit.paths[("X1", "X3")] * fit.score("X1")
-        + fit.paths[("X2", "X3")] * fit.score("X2")
-    )
-    residual = fit.score("X3") - fitted
+    score = {name: data.score(name, fit.weights[name]) for name in fit.constructs}
+    fitted = fit.paths[("X1", "X3")] * score["X1"] + fit.paths[("X2", "X3")] * score["X2"]
+    residual = score["X3"] - fitted
     assert abs(fit.r_squared["X3"] - (1.0 - residual.var())) < 1e-10
     assert 0.0 <= fit.r_squared["X3"] <= 1.0
 
@@ -109,7 +107,7 @@ def test_unit_mode_blocks_have_loading_one_and_converge_immediately():
     assert fit.iterations == 1 and fit.converged
     for name in fit.constructs:
         assert abs(fit.loadings[name][0] - 1.0) < 1e-12
-        assert abs(fit.score(name).std() - 1.0) < 1e-12
+        assert abs(data.score(name, fit.weights[name]).std() - 1.0) < 1e-12
         assert fit.modes[name] == "single-item"
 
 
@@ -132,16 +130,19 @@ def test_indicator_sign_flip_leaves_fit_invariant():
         ]
     )
     x = exact_correlation_sample(target, 500, seed=6)
-    base = fit_pls(make_prepared(x, spec), spec)
+    base_data = make_prepared(x, spec)
+    base = fit_pls(base_data, spec)
     flipped_x = x.copy()
     flipped_x[:, :3] *= -1.0
-    flipped = fit_pls(make_prepared(flipped_x, spec), spec)
+    flipped_data = make_prepared(flipped_x, spec)
+    flipped = fit_pls(flipped_data, spec)
     # orientation follows the observed block: weights and loadings are
     # unchanged relative to the negated columns, so the score and the
     # outgoing path flip sign while every magnitude is preserved
     assert np.allclose(flipped.weights["F"], base.weights["F"], atol=1e-9)
     assert np.allclose(flipped.loadings["F"], base.loadings["F"], atol=1e-9)
-    assert np.allclose(flipped.score("F"), -base.score("F"), atol=1e-9)
+    flipped_score = flipped_data.score("F", flipped.weights["F"])
+    assert np.allclose(flipped_score, -base_data.score("F", base.weights["F"]), atol=1e-9)
     assert abs(flipped.paths[("F", "Y")] + base.paths[("F", "Y")]) < 1e-9
     assert flipped.loadings["F"].sum() >= 0
 
@@ -261,8 +262,9 @@ def test_scheme_choice_converges_on_reflective_model():
 def test_argument_validation():
     spec = single_item_triangle()
     data = make_prepared(exact_correlation_sample(TRIANGLE_R, 50, seed=14), spec)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        fit_pls(data, spec, tol=0.0)
+    for tol in (0.0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            fit_pls(data, spec, tol=tol)
     with pytest.raises(ValueError, match="max_iter must be a positive integer"):
         fit_pls(data, spec, max_iter=0)
     with pytest.raises(ValueError, match="wrong length"):
@@ -396,7 +398,9 @@ def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
         assert fit.loadings[name].tobytes() == reference.loadings[name].tobytes()
     assert fit.paths == reference.paths
     assert fit.r_squared == reference.r_squared
-    assert fit.scores.tobytes() == reference.scores.tobytes()
+    for name in fit.constructs:
+        score = data.score(name, fit.weights[name])
+        assert score.tobytes() == data.score(name, reference.weights[name]).tobytes()
 
 
 def test_zero_one_by_one_system_still_raises():
