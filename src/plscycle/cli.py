@@ -116,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFileError(f"'{path}' is not UTF-8 text ({exc.reason})") from None
 
 
 def _load_spec(args: argparse.Namespace) -> ModelSpec:

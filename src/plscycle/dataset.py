@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import signal
@@ -92,10 +93,11 @@ def load_table(path: str) -> RawTable:
     DataFileError for unreadable or non-UTF-8 files, ragged rows (reported
     with their line number), duplicate column names, and non-numeric cells.
 
-    A body with no quote, no carriage return and no ``NA`` is parsed in one
-    vectorized pass; anything that pass cannot take as it is (a missing cell,
-    a blank line, a bad or non-finite number) goes to the row-by-row reader,
-    which yields the same values and every diagnostic.
+    A body with no quote, no carriage return and no blank line is parsed in
+    one vectorized pass, which maps empty and ``NA`` cells to NaN; anything
+    that pass cannot take as it is (a whitespace-only cell, a bad or
+    non-finite number) goes to the row-by-row reader, which yields the same
+    values and every diagnostic.
     """
     with _open_table(path) as handle:
         header = _read_header(csv.reader(handle), path)
@@ -134,12 +136,11 @@ def _read_header(reader, path: str) -> tuple[str, ...]:
 
 
 def _plain_body_rows(path: str) -> int | None:
-    """Body line count, or None if the body has a quote, a CR, an NA or a blank line.
+    """Body line count, or None if the body has a quote, a CR or a blank line.
 
-    A header may hold ``NA`` inside a column name; a quote there could span
-    lines, so it sends the whole file to the row-by-row reader. So does a
-    blank body line: ``np.loadtxt`` skips it, where the row-by-row reader
-    calls it a ragged row.
+    A quote in the header could span lines, so it sends the whole file to the
+    row-by-row reader. So does a blank body line: ``np.loadtxt`` skips it,
+    where the row-by-row reader calls it a ragged row.
     """
     with open(path, "rb") as handle:
         first = handle.readline()
@@ -147,8 +148,9 @@ def _plain_body_rows(path: str) -> int | None:
             return None
         lines, last = 0, b"\n"
         for chunk in iter(lambda: handle.read(1 << 20), b""):
+            # named, not an inline temporary: that took ten times the page faults
             joined = last + chunk
-            if b'"' in chunk or b"\r" in chunk or (b"N" in joined and b"NA" in joined):
+            if b'"' in chunk or b"\r" in chunk:
                 return None
             ends = np.flatnonzero(np.frombuffer(joined, np.uint8) == ord("\n"))
             if (np.diff(ends) == 1).any():
@@ -159,12 +161,8 @@ def _plain_body_rows(path: str) -> int | None:
 
 
 def _parse_plain(path: str, width: int) -> np.ndarray | None:
-    """The body as an (n, width) array of finite floats, or None to fall back.
+    """The body as an (n, width) array, NaN for missing cells, or None to fall back.
 
-    ``np.loadtxt`` gives the value ``float`` gives for every cell it accepts,
-    but it also accepts ``nan`` and ``inf``, so the result stands only if
-    every value is finite and every body line gave a row. It reads the path
-    itself: a decoded copy of the body would take four bytes per character.
     A large body is parsed in two halves, the back one by a forked child.
     """
     rows = _plain_body_rows(path)
@@ -187,22 +185,54 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
 
 
 def _loadtxt(path: str, skip: int, rows: int, width: int) -> np.ndarray:
-    """Body lines ``skip`` to ``skip + rows`` of a plain file, all finite.
+    """Body lines ``skip`` to ``skip + rows`` of a plain file; NaN marks a missing cell.
 
-    Raises ValueError unless every one of those lines gave a row of ``width``
-    values. ``max_rows`` counts rows, not lines, which is the same here
-    because the plain scan declines blank lines.
+    ``np.loadtxt`` reads the path itself first, as a decoded copy of the body
+    would take four bytes per character. It also takes ``nan`` and ``inf``, so
+    that stands only if every value is finite. Failing that, the lines are read
+    again through ``_missing_as_nan``, and stand only if no value is infinite.
+    Raises ValueError unless every line gave a row of ``width`` values
+    (``max_rows`` counts rows, not lines: the plain scan declines blank lines).
     """
     with warnings.catch_warnings():
         # loadtxt warns of lines with no data; the shape check rejects them
         warnings.simplefilter("ignore", UserWarning)
-        values = np.loadtxt(
-            path, delimiter=",", skiprows=1 + skip, max_rows=rows, ndmin=2,
-            comments=None, encoding="utf-8-sig",
-        )
-    if values.shape != (rows, width) or not np.isfinite(values).all():
+        try:
+            values = np.loadtxt(
+                path, delimiter=",", skiprows=1 + skip, max_rows=rows, ndmin=2,
+                comments=None, encoding="utf-8-sig",
+            )
+            if not np.isfinite(values).all():
+                raise ValueError("a nan or inf cell")
+        except ValueError:
+            with open(path, "rb") as handle:
+                lines = itertools.islice(handle, 1 + skip, 1 + skip + rows)
+                values = np.loadtxt(
+                    map(_missing_as_nan, lines), delimiter=",", ndmin=2,
+                    comments=None, encoding="utf-8",
+                )
+            if np.isinf(values).any():
+                raise ValueError("an infinite cell")
+    if values.shape != (rows, width):
         raise ValueError("not a plain numeric body")
     return values
+
+
+def _missing_as_nan(line: bytes) -> bytes:
+    """``line`` with each empty or (padded) ``NA`` cell rewritten to ``nan``.
+
+    Raises ValueError on an ``n`` or ``N`` outside the ``NA`` tokens or a sign
+    before one, so every NaN ``np.loadtxt`` gives is a missing cell.
+    """
+    line = b"," + line.rstrip(b"\n") + b","
+    if b"n" in line:
+        raise ValueError("an n outside an NA token")
+    if b"N" in line:
+        if b"N" in line.replace(b"NA", b"") or b"-NA" in line or b"+NA" in line:
+            raise ValueError("an N outside an NA token, or a signed NA")
+        line = line.replace(b"NA", b"nan")
+    # ",,," holds two empty cells that share a comma, so one pass finds only the first
+    return line.replace(b",,", b",nan,").replace(b",,", b",nan,")[1:-1]
 
 
 @contextlib.contextmanager

@@ -78,22 +78,6 @@ def _structural(
     return paths, r_squared
 
 
-def path_coefficients(
-    scores: np.ndarray, spec: ModelSpec, constructs: tuple[str, ...] | None = None
-) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
-    """OLS path coefficients and R squared per endogenous construct.
-
-    ``scores`` columns must follow ``constructs`` (block declaration order by
-    default). On standardized scores a single predecessor's coefficient is
-    exactly the Pearson correlation of the two score columns.
-    """
-    if constructs is None:
-        constructs = spec.block_names()
-    if scores.shape[1] != len(constructs):
-        raise ValueError("scores column count does not match construct count")
-    return _structural(np.atleast_2d(np.corrcoef(scores, rowvar=False)), spec, constructs)
-
-
 def _inner_weights(
     corr: np.ndarray,
     scheme: str,

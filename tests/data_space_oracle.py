@@ -16,8 +16,22 @@ from plscycle import assessment as a
 from plscycle.cyclic import build_feedback_model
 from plscycle.errors import DataError, EstimationError
 from plscycle.modelspec import UNIT_MODES
-from plscycle.plscore import _inner_weights, path_coefficients
+from plscycle.plscore import _inner_weights, _structural
 from plscycle.resample import _replicate_rng
+
+
+def path_coefficients(scores, spec, constructs=None):
+    """OLS path coefficients and R squared per endogenous construct.
+
+    ``scores`` columns must follow ``constructs`` (block declaration order by
+    default). On standardized scores a single predecessor's coefficient is
+    exactly the Pearson correlation of the two score columns.
+    """
+    if constructs is None:
+        constructs = spec.block_names()
+    if scores.shape[1] != len(constructs):
+        raise ValueError("scores column count does not match construct count")
+    return _structural(np.atleast_2d(np.corrcoef(scores, rowvar=False)), spec, constructs)
 
 
 def fit(matrix, block_index, spec, tol=1e-6, max_iter=300):

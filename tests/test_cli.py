@@ -464,6 +464,21 @@ def test_latin_1_csv_exits_4(tmp_path, capsys, command, text):
     assert "'" + str(bad) + "' is not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_latin_1_document_exits_4(tmp_path, capsys, command):
+    doc, name = (TRIANGLE_MODEL, "X1") if command == "validate" else (POPULATION, "A")
+    text = json.dumps(doc, ensure_ascii=False).replace(f'"{name}"', '"Año"')
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "x.csv"
+    flag = "--model" if command == "validate" else "--population"
+    extra = [] if command == "validate" else ["--out", str(out)]
+    assert main([command, flag, str(bad), *extra]) == 4
+    err = capsys.readouterr().err
+    assert err == f"plscycle: error: '{bad}' is not UTF-8 text (invalid continuation byte)\n"
+    assert not out.exists()
+
+
 def test_ragged_csv_exits_4(tmp_path, capsys):
     model, _ = triangle_files(tmp_path, TRIANGLE_MODEL)
     bad = tmp_path / "bad.csv"

@@ -115,6 +115,17 @@ READER_CORPUS = {
     "latin-1 body": "a,b\n1,2\n3,\u00e9\n".encode("latin-1"),
     # past the first chunk the header read decodes, so the vectorized parse meets it
     "latin-1 body past 8 KiB": ("a,b\n" + "1,2\n" * 3000 + "3,\u00e9\n").encode("latin-1"),
+    "padded missing tokens": "a,b,c\n NA ,\tNA,\n,NA ,1\n",
+    "nan beside NA": "a,b\n1,NA\nnan,4\n",
+    "inf beside an empty cell": "a,b\n1,\ninf,4\n",
+    "1e999 beside NA": "a,b\nNA,1e999\n3,4\n",
+    "NAN": "a,b\nNA,NAN\n3,4\n",
+    "NaN": "a,b\nNA,NaN\n3,4\n",
+    "1NA": "a,b\nNA,1NA\n3,4\n",
+    "signed NA": "a,b\n,-NA\n+NA,4\n",
+    "runs of empty cells": "a,b,c,d\n,,,1\n1,,,\n,,,\n",
+    "one column with NA": "a\n1\nNA\n3\n",
+    "whitespace-only cell beside NA": "a,b\nNA, \n3,4\n",
 }
 
 
@@ -137,20 +148,22 @@ def test_load_table_matches_row_reader_on_awkward_inputs(tmp_path, text):
     )
 
 
-CELL = st.one_of(
+NUMBER = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.integers(-(10**20), 10**20).map(str),
 )
 
 
+def cells(width):
+    """Padded numbers and missing cells; in one column an empty cell is a blank line."""
+    padded = st.tuples(st.sampled_from(["", " ", "\t"]), NUMBER).map(lambda t: t[0] + t[1] + t[0])
+    return st.one_of(padded, st.sampled_from(["NA", " NA "] + ([""] if width > 1 else [])))
+
+
 @given(
     st.integers(1, 4).flatmap(
         lambda width: st.lists(
-            st.lists(
-                st.tuples(st.sampled_from(["", " ", "\t"]), CELL),
-                min_size=width,
-                max_size=width,
-            ),
+            st.lists(cells(width), min_size=width, max_size=width),
             min_size=2,
             max_size=8,
         )
@@ -160,7 +173,7 @@ CELL = st.one_of(
 def test_vectorized_parse_equals_row_reader(rows, final_newline):
     width = len(rows[0])
     lines = [",".join(f"c{j}" for j in range(width))]
-    lines += [",".join(pad + cell + pad for pad, cell in row) for row in rows]
+    lines += [",".join(row) for row in rows]
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.csv")
         with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -172,24 +185,34 @@ def test_vectorized_parse_equals_row_reader(rows, final_newline):
         assert load_or_message(load_table, path) == load_or_message(dataset._load_rows, path)
 
 
-def test_only_plain_numeric_files_take_the_vectorized_parse(tmp_path, monkeypatch):
+def test_missing_cells_take_the_vectorized_parse_and_bad_cells_the_row_reader(
+    tmp_path, monkeypatch
+):
     calls = []
     rows = dataset._load_rows
     monkeypatch.setattr(dataset, "_load_rows", lambda path: calls.append(path) or rows(path))
     plain = write(tmp_path, "a,b\n1,2.5\n3e-7,-4\n", name="plain.csv")
-    missing = write(tmp_path, "a,b\n1,2.5\nNA,-4\n", name="missing.csv")
+    missing = write(tmp_path, "a,b\n1,\n NA ,-4\n", name="missing.csv")
     assert load_table(plain).values.tolist() == [[1.0, 2.5], [3e-7, -4.0]]
+    values = load_table(missing).values
+    assert values[0, 0] == 1.0 and values[1, 1] == -4.0
+    assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
     assert calls == []
-    assert np.isnan(load_table(missing).values[1, 0])
-    assert calls == [missing]
+    bad = [write(tmp_path, f"a,b\n1,NA\n{cell},4\n", name=f"{cell}.csv")
+           for cell in ("nan", "inf", "1NA")]
+    for path, cell in zip(bad, ("nan", "inf", "1NA")):
+        with pytest.raises(DataFileError, match=f"non-numeric value '{cell}' at line 3"):
+            load_table(path)
+    assert calls == bad
 
 
-def test_plain_scan_declines_quotes_crs_and_body_na(tmp_path):
+def test_plain_scan_declines_quotes_crs_and_blank_lines(tmp_path):
     assert dataset._plain_body_rows(write(tmp_path, "NA_a,b\n1,2\n3,4")) == 2
-    for body in ('1,"2"\n', "1,2\r\n", "1,NA\n"):
+    assert dataset._plain_body_rows(write(tmp_path, "a,b\n1,NA\n,4\n")) == 2
+    for body in ('1,"2"\n', "1,2\r\n", "1,2\n\n3,4\n"):
         assert dataset._plain_body_rows(write(tmp_path, "a,b\n" + body)) is None
-    # the first read chunk (1 MiB) ends between the N and the A
-    path = write(tmp_path, "a\n" + "1\n" * 524287 + "xNA\n", name="big.csv")
+    # the first read chunk (1 MiB) ends between the two newlines of a blank line
+    path = write(tmp_path, "a\n" + "1\n" * 524288 + "\n3\n", name="big.csv")
     assert dataset._plain_body_rows(path) is None
 
 
@@ -224,6 +247,8 @@ SPLIT_CASES = {
     "two-row body": table_text(SPLIT_BODY[:2]),
     "nan in the back half": table_text(SPLIT_BODY[:5] + ["nan,1"]),
     "ragged row in the front half": table_text(["1"] + SPLIT_BODY[1:]),
+    "NA in the front half only": table_text(["1,NA"] + SPLIT_BODY[1:]),
+    "empty cell in the back half only": table_text(SPLIT_BODY[:4] + ["9,"] + SPLIT_BODY[5:]),
 }
 
 

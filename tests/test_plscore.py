@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from plscycle import EstimationError, fit_pls, parse_model, plscore, prepare_blocks
-from plscycle.plscore import path_coefficients
 from plscycle.simgen import PopulationSpec, ConstructPopulation, gen_acyclic
 
 from conftest import exact_correlation_sample, make_prepared
+from data_space_oracle import path_coefficients
 
 
 def single_item_triangle():
