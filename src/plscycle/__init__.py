@@ -32,6 +32,7 @@ from .cyclic import (
 )
 from .dataset import (
     MISSING_POLICIES,
+    Moments,
     PreparedData,
     RawTable,
     load_table,
@@ -39,6 +40,7 @@ from .dataset import (
     mca_inertia_shares,
     prepare_blocks,
     standardize_column,
+    write_table,
 )
 from .errors import DataError, DataFileError, EstimationError, ModelError
 from .modelspec import (
@@ -74,67 +76,3 @@ from .simgen import (
     parse_population,
     population_truth,
 )
-
-__all__ = [
-    "__version__",
-    "ModelError",
-    "DataError",
-    "EstimationError",
-    "DataFileError",
-    "MODES",
-    "SCHEMES",
-    "BlockSpec",
-    "PathSpec",
-    "CyclicSpec",
-    "ModelSpec",
-    "ValidationReport",
-    "parse_model",
-    "serialize_model",
-    "model_document",
-    "validate_model",
-    "topological_order",
-    "ancestors",
-    "MISSING_POLICIES",
-    "RawTable",
-    "PreparedData",
-    "load_table",
-    "prepare_blocks",
-    "standardize_column",
-    "mca_first_dimension",
-    "mca_inertia_shares",
-    "DEFAULT_TOL",
-    "DEFAULT_MAX_ITER",
-    "PlsFit",
-    "fit_pls",
-    "ReliabilityReport",
-    "ConstructReliability",
-    "IndicatorReliability",
-    "assess",
-    "cronbach_alpha",
-    "composite_reliability",
-    "ave",
-    "dijkstra_rho_a",
-    "unidimensionality",
-    "DIRECTIONS",
-    "CyclicFit",
-    "TestResult",
-    "build_feedback_model",
-    "estimate_cyclic",
-    "reinforcement_test",
-    "reinforcement_tests",
-    "score_column_name",
-    "MIN_REPLICATES",
-    "BootstrapResult",
-    "CoefficientStats",
-    "bootstrap",
-    "percentile_ci",
-    "ConstructPopulation",
-    "PopulationSpec",
-    "parse_population",
-    "gen_acyclic",
-    "gen_cyclic_equilibrium",
-    "indicator_names",
-    "population_truth",
-    "build_run_report",
-    "render_text",
-]

@@ -71,14 +71,6 @@ def build_feedback_model(fit: PlsFit, spec: ModelSpec) -> ModelSpec:
     return ModelSpec(blocks=tuple(blocks), paths=paths, cyclic=None, scheme=spec.scheme)
 
 
-def _guard_cyclic(spec: ModelSpec) -> None:
-    if spec.cyclic is None:
-        raise ModelError("no cyclic specification in the model")
-    report = validate_model(spec)
-    if not report.ok:
-        raise ModelError("; ".join(report.violations))
-
-
 def estimate_cyclic(
     data: PreparedData | Moments,
     fit: PlsFit,
@@ -96,10 +88,11 @@ def estimate_cyclic(
     pair is left without a mirror and ``reinforcement_tests`` skips it. Never
     mutates the step-1 fit or the input data.
     """
-    _guard_cyclic(spec)
-    assert spec.cyclic is not None
-    source = spec.cyclic.source
+    report = validate_model(spec)
+    if not report.ok:
+        raise ModelError("; ".join(report.violations))
     step2_spec = build_feedback_model(fit, spec)
+    source = spec.cyclic.source
     column = score_column_name(source)
     if column in data.columns:
         raise EstimationError(f"column name '{column}' collides with a data column")

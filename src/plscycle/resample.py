@@ -2,11 +2,11 @@
 
 Each replicate draws rows with replacement and re-runs the full pipeline on
 the resample's indicator correlation matrix: the PLS fit and, when the model
-has a cyclic section, both steps of the feedback estimator. Replicate weight
-vectors are sign-aligned against the original sample before anything is
-recorded, preventing the arbitrary orientation of composite scores from
-inflating the spread. Replicate r draws from a counter-based generator keyed
-by (seed, r), so results do not depend on execution order.
+has a cyclic section, both steps of the feedback estimator. A replicate's
+coefficients are recorded sign-aligned against the original sample, by one
+sign per block, preventing the arbitrary orientation of composite scores
+from inflating the spread. Replicate r draws from a counter-based generator
+keyed by (seed, r), so results do not depend on execution order.
 
 The drawn rows are never copied. A chunk of replicates keeps its per-row
 draw counts as one uint8 count matrix C (replicates x rows); for each block
@@ -20,7 +20,6 @@ zero-variance decision.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from collections import Counter
@@ -69,6 +68,10 @@ class CoefficientStats:
 class BootstrapResult:
     """Per-coefficient bootstrap summaries over B replicates.
 
+    Each coefficient's ``replicates`` is one row of a single (coefficients x
+    successful replicates) matrix: paths, then loadings block by block, then
+    cyclic paths. A replicate's values are aligned by one sign per block: -1
+    where the block's weights point away from the original fit's.
     ``failure_reasons`` counts the failed replicates by the leading clause of
     their message, e.g. ``{"zero variance": 3}``.
     """
@@ -176,46 +179,23 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[Moment
                 yield Moments(corr[i], data.block_index, data.columns)
 
 
-def _aligned_fit(fit: PlsFit, reference: dict[str, np.ndarray]) -> PlsFit:
-    """Flip replicate blocks whose weights point away from the original's."""
-    flips = {
-        name: -1.0 if float(fit.weights[name] @ reference[name]) < 0 else 1.0
-        for name in fit.constructs
-    }
-    if all(f == 1.0 for f in flips.values()):
-        return fit
-    return dataclasses.replace(
-        fit,
-        weights={n: fit.weights[n] * flips[n] for n in fit.constructs},
-        loadings={n: fit.loadings[n] * flips[n] for n in fit.constructs},
-        paths={(s, t): v * flips[s] * flips[t] for (s, t), v in fit.paths.items()},
-    )
-
-
-def _loadings_by_column(fit: PlsFit, data: PreparedData) -> dict[tuple[str, str], float]:
-    """Each loading keyed by (construct, indicator column)."""
+def _signs(fit: PlsFit, reference: PlsFit) -> dict[str, float]:
+    """-1.0 for each block whose weights point away from the reference's, else 1.0."""
     return {
-        (name, col): float(fit.loadings[name][j])
+        name: -1.0 if float(fit.weights[name] @ reference.weights[name]) < 0 else 1.0
         for name in fit.constructs
-        for j, col in enumerate(data.columns[slice(*data.block_index[name])])
     }
 
 
-def _collect(
-    estimates: dict, replicate_values: dict, level: float
-) -> dict[tuple[str, str], CoefficientStats]:
-    out: dict[tuple[str, str], CoefficientStats] = {}
-    for key, values in replicate_values.items():
-        reps = np.asarray(values, dtype=np.float64)
-        ci = percentile_ci(reps, level)
-        out[key] = CoefficientStats(
-            estimate=float(estimates[key]),
-            replicates=reps,
-            se=float(np.std(reps, ddof=1)),
-            ci=ci,
-            significant=not (ci[0] <= 0.0 <= ci[1]),
-        )
-    return out
+def _stats(estimate: float, reps: np.ndarray, level: float) -> CoefficientStats:
+    ci = percentile_ci(reps, level)
+    return CoefficientStats(
+        estimate=float(estimate),
+        replicates=reps,
+        se=float(np.std(reps, ddof=1)),
+        ci=ci,
+        significant=not (ci[0] <= 0.0 <= ci[1]),
+    )
 
 
 def bootstrap(
@@ -250,12 +230,17 @@ def bootstrap(
     if spec.cyclic is not None:
         cyc0 = estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
 
-    path_reps: dict[tuple[str, str], list[float]] = {k: [] for k in fit0.paths}
-    loading_estimates = _loadings_by_column(fit0, data)
-    loading_reps: dict[tuple[str, str], list[float]] = {k: [] for k in loading_estimates}
-    cyclic_reps: dict[tuple[str, str], list[float]] = (
-        {k: [] for k in cyc0.cyclic_paths} if cyc0 is not None else {}
-    )
+    # one row per coefficient: paths, loadings block by block, cyclic paths
+    loading_keys = [
+        (name, col)
+        for name in fit0.constructs
+        for col in data.columns[slice(*data.block_index[name])]
+    ]
+    cyclic0 = cyc0.cyclic_paths if cyc0 is not None else {}
+    keys = [*fit0.paths, *loading_keys, *cyclic0]
+    estimates = [*fit0.paths.values(), *np.concatenate([*fit0.loadings.values()]), *cyclic0.values()]
+    reps = np.empty((len(keys), b))
+    ok = 0
 
     reasons: Counter[str] = Counter()
     last_failure = ""
@@ -266,22 +251,26 @@ def bootstrap(
             rep_fit = fit_pls(rep_data, spec, tol=tol, max_iter=max_iter)
             if not rep_fit.converged:
                 raise EstimationError("replicate weights did not converge")
-            rep_fit = _aligned_fit(rep_fit, fit0.weights)
             rep_cyc = None
             if cyc0 is not None:
                 rep_cyc = estimate_cyclic(rep_data, rep_fit, spec, tol=tol, max_iter=max_iter)
-                step2 = _aligned_fit(rep_cyc.step2_fit, cyc0.step2_fit.weights)
         except (DataError, EstimationError, np.linalg.LinAlgError) as exc:
             last_failure = str(exc)
             reasons[re.split(r":| in ", last_failure, maxsplit=1)[0]] += 1  # leading clause
             continue
-        for key in path_reps:
-            path_reps[key].append(rep_fit.paths[key])
-        for key, value in _loadings_by_column(rep_fit, data).items():
-            loading_reps[key].append(value)
+        sign = _signs(rep_fit, fit0)
+        column = [rep_fit.paths[s, t] * sign[s] * sign[t] for s, t in fit0.paths]
+        column += [lam * sign[name] for name in fit0.constructs for lam in rep_fit.loadings[name]]
         if rep_cyc is not None:
-            for key in cyclic_reps:
-                cyclic_reps[key].append(step2.paths[key])
+            # step 2 ran on the unaligned fit: its single-item source makes it
+            # exactly sign-equivariant there (negation is exact), so a flipped
+            # source leaves the target weights bitwise the same and negates each
+            # path; the aligned path is the raw one times the source's step-1
+            # sign and the target's step-2 sign
+            sign2 = _signs(rep_cyc.step2_fit, cyc0.step2_fit)
+            column += [v * sign[s] * sign2[t] for (s, t), v in rep_cyc.cyclic_paths.items()]
+        reps[:, ok] = column
+        ok += 1
 
     failures = reasons.total()
     if failures > MAX_FAILURE_RATE * b:
@@ -291,16 +280,16 @@ def bootstrap(
             f"failures: {tally}; last failure: {last_failure}"
         )
 
+    stats = [_stats(e, r, level) for e, r in zip(estimates, reps[:, :ok])]
+    a, c = len(fit0.paths), len(fit0.paths) + len(loading_keys)
     return BootstrapResult(
         b_requested=b,
-        b_effective=b - failures,
+        b_effective=ok,
         failures=failures,
         level=level,
         seed=seed,
-        paths=_collect(fit0.paths, path_reps, level),
-        loadings=_collect(loading_estimates, loading_reps, level),
-        cyclic_paths=(
-            _collect(cyc0.cyclic_paths, cyclic_reps, level) if cyc0 is not None else {}
-        ),
+        paths=dict(zip(keys[:a], stats[:a])),
+        loadings=dict(zip(keys[a:c], stats[a:c])),
+        cyclic_paths=dict(zip(keys[c:], stats[c:])),
         failure_reasons=dict(reasons),
     )

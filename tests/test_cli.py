@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -564,3 +565,11 @@ def test_version_flag_prints_and_exits_0(capsys):
         main(["--version"])
     assert info.value.code == 0
     assert capsys.readouterr().out == f"plscycle {__version__}\n"
+
+
+def test_readme_library_names_import_from_the_package():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    library = readme.read_text(encoding="utf-8").split("## Library", 1)[1]
+    block = re.search(r"^from plscycle import \((.*?)^\)", library, re.M | re.S).group(1)
+    names = set(re.findall(r"\w+", re.sub(r"#.*", "", block))) | {"Moments", "write_table"}
+    exec(f"from plscycle import {', '.join(sorted(names))}", {})

@@ -172,6 +172,8 @@ def test_build_feedback_model_requires_cyclic_section_and_fitted_source():
     fit = fit_pls(data, spec)
     with pytest.raises(ModelError, match="no cyclic specification"):
         build_feedback_model(fit, spec)
+    with pytest.raises(ModelError, match="no cyclic specification in the model"):
+        estimate_cyclic(data, fit, spec)
     with_cyclic = chain_spec(cyclic={"source": "X3"})
     truncated = dataclasses.replace(fit, constructs=("X1", "X2"))
     with pytest.raises(EstimationError, match="source score for 'X3' missing"):

@@ -144,23 +144,27 @@ CYCLIC_MODEL = {
 }
 
 
-def cyclic_data(spec, n=300, seed=4):
+# a source block weak enough that replicate fits flip its orientation
+WEAK_LOADINGS = (0.4, 0.1, -0.2)
+WEAK_MODEL = {
+    **CYCLIC_MODEL,
+    "blocks": [*CYCLIC_MODEL["blocks"][:2], {"name": "IU", "indicators": ["iu1", "iu2", "iu3"]}],
+}
+
+
+def cyclic_data(spec, n=300, seed=4, iu_loadings=(0.7,) * 4):
     rng = np.random.default_rng(seed)
     pa = rng.standard_normal(n)
     ds = 0.5 * pa + 0.85 * rng.standard_normal(n)
     iu = 0.2 * pa + 0.6 * ds + 0.7 * rng.standard_normal(n)
     columns = [lam * latent + np.sqrt(1 - lam**2) * rng.standard_normal(n)
-               for latent, lam, count in ((pa, 0.8, 3), (ds, 0.75, 4), (iu, 0.7, 4))
-               for _ in range(count)]
+               for latent, loadings in ((pa, (0.8,) * 3), (ds, (0.75,) * 4), (iu, iu_loadings))
+               for lam in loadings]
     return make_prepared(np.column_stack(columns), spec)
 
 
-def check_bootstrap_matches_reference(budgets):
-    spec = parse_model(CYCLIC_MODEL)
-    data = cyclic_data(spec)
-    budgets(data)
-    boot = bootstrap(data, spec, b=100, seed=9)
-    reps = [rep for rep in oracle.replicates(data, spec, b=100, seed=9) if isinstance(rep, tuple)]
+def assert_replicates_match_reference(boot, data, spec, seed):
+    reps = [rep for rep in oracle.replicates(data, spec, b=100, seed=seed) if isinstance(rep, tuple)]
     assert boot.b_effective == len(reps) == 100
     for key, stats in boot.paths.items():
         assert max_diff(stats.replicates, [paths[key] for paths, _, _ in reps]) <= TOL
@@ -172,12 +176,48 @@ def check_bootstrap_matches_reference(budgets):
         assert max_diff(stats.replicates, [cyc[key] for _, _, cyc in reps]) <= TOL
 
 
+def check_bootstrap_matches_reference(budgets):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec)
+    budgets(data)
+    assert_replicates_match_reference(bootstrap(data, spec, b=100, seed=9), data, spec, seed=9)
+
+
 def test_bootstrap_replicates_match_data_space_reference():
     check_bootstrap_matches_reference(default_budgets)
 
 
 def test_bootstrap_replicates_in_small_chunks_match_data_space_reference(monkeypatch):
     check_bootstrap_matches_reference(small_budgets(monkeypatch))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_bootstrap_matches_data_space_reference_where_the_source_flips(scheme, monkeypatch):
+    fits = []
+    real = resample.fit_pls
+    monkeypatch.setattr(
+        resample, "fit_pls", lambda *args, **kwargs: fits.append(real(*args, **kwargs)) or fits[-1]
+    )
+    spec = parse_model({**WEAK_MODEL, "scheme": scheme})
+    data = cyclic_data(spec, n=60, iu_loadings=WEAK_LOADINGS)
+    boot = bootstrap(data, spec, b=100, seed=3)
+    point = fits[0].weights["IU"]
+    assert any(fit.weights["IU"] @ point < 0 for fit in fits[1:])
+    assert_replicates_match_reference(boot, data, spec, seed=3)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_flipped_step_one_source_negates_exactly_the_cyclic_paths(scheme):
+    # bootstrap runs step 2 on unaligned replicate fits and relies on this
+    for model, loadings in ((CYCLIC_MODEL, (0.7,) * 4), (WEAK_MODEL, WEAK_LOADINGS)):
+        spec = parse_model({**model, "scheme": scheme})
+        data = cyclic_data(spec, iu_loadings=loadings)
+        fit = fit_pls(data, spec)
+        flipped = dataclasses.replace(fit, weights={**fit.weights, "IU": -fit.weights["IU"]})
+        cyc, cyc_flipped = estimate_cyclic(data, fit, spec), estimate_cyclic(data, flipped, spec)
+        negated = {key: -value for key, value in cyc.step2_fit.paths.items()}
+        assert_same_fit(cyc_flipped.step2_fit, dataclasses.replace(cyc.step2_fit, paths=negated))
+        assert cyc_flipped.cyclic_paths == {key: -value for key, value in cyc.cyclic_paths.items()}
 
 
 def assert_same_fit(a, b):
