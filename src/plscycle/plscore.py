@@ -8,7 +8,9 @@ R[block, :] W e_i, mode B solves against R[block, block], and single-item
 blocks keep a fixed unit weight. Loadings are R[block, :] w_i / sqrt(w_i' R
 w_i); path coefficients are OLS on the score correlations. A fit is the same
 on prepared data and on its moments; ``PreparedData.score`` turns its weights
-into scores.
+into scores. The layout (column order, block slices, inner-model indices) is
+derived once per model and block layout, and one iteration's regressions are
+solved in one stacked call per predecessor count.
 
 All location parameters are identically zero because every column entering
 the estimator is standardized; reports list them as 0 for completeness.
@@ -16,6 +18,7 @@ the estimator is standardized; reports list them as 0 for completeness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,62 +49,90 @@ class PlsFit:
     converged: bool
 
 
-def _solve_ols(corr: np.ndarray, pred: list[int], target: int, label: str) -> np.ndarray:
-    """Standardized OLS coefficients from a correlation matrix."""
-    a = corr[np.ix_(pred, pred)]
-    b = corr[pred, target]
-    if len(pred) == 1 and math.isfinite(a[0, 0]):
-        singular = a[0, 0] == 0.0  # a 1x1 condition number is 1, or inf at zero
-    else:
-        singular = np.linalg.cond(a) > _COND_LIMIT
+# one (targets, preds) pair of index arrays per predecessor count s: targets (g,), preds (g, s)
+_Groups = tuple[tuple[np.ndarray, np.ndarray], ...]
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(spec: ModelSpec, bounds: tuple[tuple[int, int], ...]) -> tuple:
+    """What a fit derives from the model and its blocks' column bounds alone.
+
+    That is the ``np.ix_`` of the model's columns in block order, each block's
+    slice of them, ``member`` (member[j, i] is 1 when model column j belongs to
+    block i, else 0), the regression groups and the constructs without neighbors.
+    """
+    constructs = spec.block_names()
+    k = len(constructs)
+    index = {name: i for i, name in enumerate(constructs)}
+    columns: list[int] = []
+    slices: list[slice] = []
+    for block, (lo, hi) in zip(spec.blocks, bounds):
+        if block.mode in UNIT_MODES and hi - lo != 1:
+            raise EstimationError(f"block '{block.name}' must be prepared to exactly one column")
+        slices.append(slice(len(columns), len(columns) + hi - lo))
+        columns.extend(range(lo, hi))
+    member = np.eye(k)[np.repeat(np.arange(k), [s.stop - s.start for s in slices])]
+    preds = [[index[p] for p in spec.predecessors(name)] for name in constructs]
+    groups = []
+    for count in sorted({len(p) for p in preds} - {0}):
+        targets = [i for i in range(k) if len(preds[i]) == count]
+        groups.append((np.array(targets), np.array([preds[i] for i in targets])))
+    isolated = [i for i, name in enumerate(constructs) if not preds[i] and not spec.successors(name)]
+    return np.ix_(columns, columns), tuple(slices), member, tuple(groups), isolated
+
+
+def _solve_groups(corr: np.ndarray, groups: _Groups, names: tuple[str, ...]) -> list[np.ndarray]:
+    """Standardized OLS coefficients from a correlation matrix, one stacked solve per group.
+
+    A group's result is (g, s). A system is singular when its condition number
+    exceeds ``_COND_LIMIT``; a finite 1x1 system's is 1, or inf at zero, so it
+    skips the SVD. The first singular system in construct order raises.
+    """
+    systems, singular = [], []
+    for targets, preds in groups:
+        a = corr[preds[:, :, None], preds[:, None, :]]
+        if preds.shape[1] == 1 and np.isfinite(a).all():
+            singular.extend(targets[a[:, 0, 0] == 0.0])
+        else:
+            singular.extend(targets[np.linalg.cond(a) > _COND_LIMIT])
+        systems.append((a, corr[preds, targets[:, None], None]))
     if singular:
-        raise EstimationError(f"singular system: collinear predecessors of '{label}'")
-    return np.linalg.solve(a, b)
+        raise EstimationError(f"singular system: collinear predecessors of '{names[min(singular)]}'")
+    return [np.linalg.solve(a, b)[..., 0] for a, b in systems]
 
 
 def _structural(
-    corr: np.ndarray, spec: ModelSpec, constructs: tuple[str, ...]
+    corr: np.ndarray, groups: _Groups, constructs: tuple[str, ...]
 ) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
     """OLS path coefficients and R squared from the score correlation matrix."""
-    index = {name: i for i, name in enumerate(constructs)}
+    systems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for (targets, preds), beta in zip(groups, _solve_groups(corr, groups, constructs)):
+        systems.update(zip(targets.tolist(), zip(preds, beta)))
     paths: dict[tuple[str, str], float] = {}
     r_squared: dict[str, float] = {}
-    for name in constructs:
-        preds = spec.predecessors(name)
-        if not preds:
-            continue
-        pred_idx = [index[p] for p in preds]
-        beta = _solve_ols(corr, pred_idx, index[name], name)
+    for target, (preds, beta) in sorted(systems.items()):
+        name = constructs[target]
         for p, value in zip(preds, beta):
-            paths[(p, name)] = float(value)
-        r_squared[name] = float(corr[pred_idx, index[name]] @ beta)
+            paths[(constructs[p], name)] = float(value)
+        r_squared[name] = float(corr[preds, target] @ beta)
     return paths, r_squared
 
 
 def _inner_weights(
-    corr: np.ndarray,
-    scheme: str,
-    preds: list[list[int]],
-    succs: list[list[int]],
-    names: tuple[str, ...],
+    corr: np.ndarray, scheme: str, groups: _Groups, isolated: list[int], names: tuple[str, ...]
 ) -> np.ndarray:
     """Adjacency weighting matrix E; proxy for construct k is scores @ E[k]."""
-    k = corr.shape[0]
-    e = np.zeros((k, k))
-    for i in range(k):
-        neighbors = preds[i] + succs[i]
-        if not neighbors:
-            e[i, i] = 1.0  # isolated construct: its own score is the proxy
-            continue
-        if scheme == "centroid":
-            e[i, neighbors] = np.sign(corr[i, neighbors])
-        elif scheme == "factorial":
-            e[i, neighbors] = corr[i, neighbors]
-        else:  # path
-            if preds[i]:
-                e[i, preds[i]] = _solve_ols(corr, preds[i], i, names[i])
-            if succs[i]:
-                e[i, succs[i]] = corr[i, succs[i]]
+    weigh = np.sign if scheme == "centroid" else np.asarray
+    if scheme == "path":
+        betas = _solve_groups(corr, groups, names)
+    else:
+        betas = [weigh(corr[targets[:, None], preds]) for targets, preds in groups]
+    e = np.zeros_like(corr)
+    e[isolated, isolated] = 1.0  # isolated construct: its own score is the proxy
+    for (targets, preds), beta in zip(groups, betas):
+        e[targets[:, None], preds] = beta
+    for targets, preds in groups:  # then each predecessor weighs its successors
+        e[preds, targets[:, None]] = weigh(corr[preds, targets[:, None]])
     return e
 
 
@@ -126,25 +157,11 @@ def fit_pls(
         raise ValueError("max_iter must be a positive integer")
     constructs = spec.block_names()
     k = len(constructs)
-    index = {name: i for i, name in enumerate(constructs)}
     modes = [block.mode for block in spec.blocks]
-    # the model's columns in block order, and each block's slice of them
-    columns: list[int] = []
-    slices: list[slice] = []
-    for block in spec.blocks:
-        lo, hi = data.block_index[block.name]
-        if block.mode in UNIT_MODES and hi - lo != 1:
-            raise EstimationError(
-                f"block '{block.name}' must be prepared to exactly one column"
-            )
-        slices.append(slice(len(columns), len(columns) + hi - lo))
-        columns.extend(range(lo, hi))
-    r = data.corr[np.ix_(columns, columns)]
+    bounds = tuple(data.block_index[name] for name in constructs)
+    columns, slices, member, groups, isolated = _layout(spec, bounds)
+    r = data.corr[columns]
     within = [r[s, s] for s in slices]
-    # member[j, i] is 1 when model column j belongs to block i, else 0
-    member = np.eye(k)[np.repeat(np.arange(k), [len(w) for w in within])]
-    preds = [[index[p] for p in spec.predecessors(name)] for name in constructs]
-    succs = [[index[s] for s in spec.successors(name)] for name in constructs]
 
     for i, name in enumerate(constructs):
         if modes[i] == "formative" and np.linalg.cond(within[i]) > _COND_LIMIT:
@@ -156,9 +173,7 @@ def fit_pls(
         if std <= 1e-12:
             raise EstimationError(f"degenerate score variance in block '{constructs[i]}'")
         w = w / std
-        if modes[i] not in UNIT_MODES and (within[i] @ w).sum() < 0:
-            return -w
-        return w  # a unit-mode weight stays positive: its loading is +1
+        return -w if (within[i] @ w).sum() < 0 else w
 
     weights: list[np.ndarray] = []
     for i, name in enumerate(constructs):
@@ -172,7 +187,7 @@ def fit_pls(
     for iterations in range(1, max_iter + 1):
         w_mat = member * np.concatenate(weights)[:, None]  # block-diagonal W
         cross = r @ w_mat  # covariance of every column with every score
-        e = _inner_weights(w_mat.T @ cross, spec.scheme, preds, succs, constructs)
+        e = _inner_weights(w_mat.T @ cross, spec.scheme, groups, isolated, constructs)
         proxy_cov = cross @ e.T  # covariance of every column with every inner proxy
         delta = 0.0
         for i in range(k):
@@ -190,7 +205,7 @@ def fit_pls(
     cross = r @ w_mat
     score_cov = w_mat.T @ cross
     std = np.sqrt(np.diag(score_cov))
-    paths, r_squared = _structural(score_cov / np.outer(std, std), spec, constructs)
+    paths, r_squared = _structural(score_cov / np.outer(std, std), groups, constructs)
     return PlsFit(
         constructs=constructs,
         modes={name: modes[i] for i, name in enumerate(constructs)},

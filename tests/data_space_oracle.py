@@ -5,9 +5,11 @@ recomputed from the rows in every iteration, loadings are indicator-score
 correlations, and each bootstrap replicate re-standardizes its resampled
 rows. The differential tests hold the library to these within 1e-10. The
 reliability battery takes every block statistic from ``np.corrcoef`` of the
-block's rows.
+block's rows. Each regression is solved on its own (``_solve_ols``), where
+the library stacks the systems with the same number of predecessors.
 """
 
+import math
 import types
 
 import numpy as np
@@ -16,8 +18,67 @@ from plscycle import assessment as a
 from plscycle.cyclic import build_feedback_model
 from plscycle.errors import DataError, EstimationError
 from plscycle.modelspec import UNIT_MODES
-from plscycle.plscore import _inner_weights, _structural
+from plscycle.plscore import _COND_LIMIT
 from plscycle.resample import _replicate_rng
+
+
+def _solve_ols(corr: np.ndarray, pred: list[int], target: int, label: str) -> np.ndarray:
+    """Standardized OLS coefficients from a correlation matrix."""
+    a = corr[np.ix_(pred, pred)]
+    b = corr[pred, target]
+    if len(pred) == 1 and math.isfinite(a[0, 0]):
+        singular = a[0, 0] == 0.0  # a 1x1 condition number is 1, or inf at zero
+    else:
+        singular = np.linalg.cond(a) > _COND_LIMIT
+    if singular:
+        raise EstimationError(f"singular system: collinear predecessors of '{label}'")
+    return np.linalg.solve(a, b)
+
+
+def _structural(
+    corr: np.ndarray, spec, constructs: tuple[str, ...]
+) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
+    """OLS path coefficients and R squared from the score correlation matrix."""
+    index = {name: i for i, name in enumerate(constructs)}
+    paths: dict[tuple[str, str], float] = {}
+    r_squared: dict[str, float] = {}
+    for name in constructs:
+        preds = spec.predecessors(name)
+        if not preds:
+            continue
+        pred_idx = [index[p] for p in preds]
+        beta = _solve_ols(corr, pred_idx, index[name], name)
+        for p, value in zip(preds, beta):
+            paths[(p, name)] = float(value)
+        r_squared[name] = float(corr[pred_idx, index[name]] @ beta)
+    return paths, r_squared
+
+
+def _inner_weights(
+    corr: np.ndarray,
+    scheme: str,
+    preds: list[list[int]],
+    succs: list[list[int]],
+    names: tuple[str, ...],
+) -> np.ndarray:
+    """Adjacency weighting matrix E; proxy for construct k is scores @ E[k]."""
+    k = corr.shape[0]
+    e = np.zeros((k, k))
+    for i in range(k):
+        neighbors = preds[i] + succs[i]
+        if not neighbors:
+            e[i, i] = 1.0  # isolated construct: its own score is the proxy
+            continue
+        if scheme == "centroid":
+            e[i, neighbors] = np.sign(corr[i, neighbors])
+        elif scheme == "factorial":
+            e[i, neighbors] = corr[i, neighbors]
+        else:  # path
+            if preds[i]:
+                e[i, preds[i]] = _solve_ols(corr, preds[i], i, names[i])
+            if succs[i]:
+                e[i, succs[i]] = corr[i, succs[i]]
+    return e
 
 
 def path_coefficients(scores, spec, constructs=None):
@@ -52,9 +113,7 @@ def fit(matrix, block_index, spec, tol=1e-6, max_iter=300):
         if std <= 1e-12:
             raise EstimationError(f"degenerate score variance in block '{names[i]}'")
         w = w / std
-        if modes[i] not in UNIT_MODES and (blocks[i].T @ (blocks[i] @ w)).sum() < 0:
-            return -w
-        return w
+        return -w if (blocks[i].T @ (blocks[i] @ w)).sum() < 0 else w
 
     weights = [settle(i, np.ones(block.shape[1])) for i, block in enumerate(blocks)]
     converged = False

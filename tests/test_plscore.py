@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from plscycle import EstimationError, fit_pls, parse_model, plscore, prepare_blocks
+from plscycle import EstimationError, Moments, fit_pls, parse_model, plscore, prepare_blocks
 from plscycle.simgen import PopulationSpec, ConstructPopulation, gen_acyclic
 
 from conftest import exact_correlation_sample, make_prepared
+import data_space_oracle as oracle
 from data_space_oracle import path_coefficients
 
 
@@ -352,6 +353,14 @@ def _solve_ols_always_cond(corr, pred, target, label):
     return np.linalg.solve(a, corr[pred, target])
 
 
+def _solve_each_system(corr, groups, names):
+    """The grouped solver as a per-system loop over the reference solver."""
+    return [
+        np.array([oracle._solve_ols(corr, list(p), int(t), names[t]) for t, p in zip(targets, preds)])
+        for targets, preds in groups
+    ]
+
+
 def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
     # C1 has one predecessor, C2 two; the path scheme solves both every iteration
     b = np.zeros((3, 3))
@@ -384,31 +393,97 @@ def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a.shape) or cond(a))
 
     fit = fit_pls(data, spec)
-    fast_calls = list(calls)
+    grouped_calls = list(calls)
     calls.clear()
-    monkeypatch.setattr(plscore, "_solve_ols", _solve_ols_always_cond)
+    monkeypatch.setattr(plscore, "_solve_groups", _solve_each_system)
     reference = fit_pls(data, spec)
 
     assert fit.converged and fit.iterations == reference.iterations > 1
-    # one solve for C2 per iteration plus the final structural one
-    assert fast_calls == [(2, 2)] * (fit.iterations + 1)
-    assert sorted(calls) == sorted([(1, 1), (2, 2)] * (fit.iterations + 1))
+    # no 1x1 system reaches the SVD: one stacked cond for the one two-predecessor
+    # group per iteration, plus the final structural one
+    assert grouped_calls == [(1, 2, 2)] * (fit.iterations + 1)
+    assert calls == [(2, 2)] * (fit.iterations + 1)
+    assert fit.constructs == reference.constructs and fit.modes == reference.modes
     for name in fit.constructs:
         assert fit.weights[name].tobytes() == reference.weights[name].tobytes()
         assert fit.loadings[name].tobytes() == reference.loadings[name].tobytes()
-    assert fit.paths == reference.paths
-    assert fit.r_squared == reference.r_squared
+    assert list(fit.paths.items()) == list(reference.paths.items())
+    assert list(fit.r_squared.items()) == list(reference.r_squared.items())
+    assert fit.converged == reference.converged
     for name in fit.constructs:
         score = data.score(name, fit.weights[name])
         assert score.tobytes() == data.score(name, reference.weights[name]).tobytes()
 
 
-def test_zero_one_by_one_system_still_raises():
+def test_zero_one_by_one_system_still_raises(monkeypatch):
+    groups = ((np.array([1]), np.array([[0]])),)
     corr = np.array([[0.0, 0.3], [0.3, 1.0]])
-    for solve in (plscore._solve_ols, _solve_ols_always_cond):
+    with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
+        _solve_ols_always_cond(corr, [0], 1, "Y")
+    monkeypatch.setattr(np.linalg, "cond", None)  # a 1x1 system never reaches the SVD
+    for solve in (oracle._solve_ols, lambda c, *_: plscore._solve_groups(c, groups, ("X", "Y"))):
         with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
             solve(corr, [0], 1, "Y")
-    # a tiny nonzero entry has condition number 1: singular to neither solver
+    # a tiny nonzero entry has condition number 1: singular to no solver
     tiny = np.array([[5e-324, 0.5], [0.5, 1.0]])
-    assert plscore._solve_ols(tiny, [0], 1, "Y").tolist() == [np.inf]
+    assert plscore._solve_groups(tiny, groups, ("X", "Y"))[0].tolist() == [[np.inf]]
+    assert oracle._solve_ols(tiny, [0], 1, "Y").tolist() == [np.inf]
+    monkeypatch.undo()
     assert _solve_ols_always_cond(tiny, [0], 1, "Y").tolist() == [np.inf]
+
+
+@pytest.mark.parametrize("scheme", ["path", "centroid"])
+def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(scheme):
+    # Y3 (three predecessors) is declared before Y2 (two); both regress on the
+    # identical P1 and P2, and the two-predecessor group is solved first. The
+    # path scheme raises in the inner weights, the centroid scheme in the paths.
+    names = ("P1", "P2", "P3", "Y3", "Y2")
+    spec = parse_model(
+        {
+            "blocks": [
+                {"name": name, "mode": "single-item", "indicators": [name.lower()]}
+                for name in names
+            ],
+            "paths": [{"source": p, "target": "Y3"} for p in ("P1", "P2", "P3")]
+            + [{"source": p, "target": "Y2"} for p in ("P1", "P2")],
+            "scheme": scheme,
+        }
+    )
+    r = np.array(
+        [
+            [1.0, 1.0, 0.2, 0.3, 0.3],
+            [1.0, 1.0, 0.2, 0.3, 0.3],
+            [0.2, 0.2, 1.0, 0.3, 0.3],
+            [0.3, 0.3, 0.3, 1.0, 0.4],
+            [0.3, 0.3, 0.3, 0.4, 1.0],
+        ]
+    )
+    data = Moments(r, {name: (i, i + 1) for i, name in enumerate(names)}, tuple(n.lower() for n in names))
+    groups = plscore._layout(spec, tuple(data.block_index[name] for name in names))[3]
+    assert [targets.tolist() for targets, _ in groups] == [[4], [3]]
+    with pytest.raises(EstimationError, match="collinear predecessors of 'Y3'"):
+        fit_pls(data, spec)
+
+
+def test_unit_mode_block_starting_negative_is_oriented_by_its_loading_sum():
+    spec = parse_model(
+        {
+            "blocks": [
+                {"name": "A", "mode": "single-item", "indicators": ["a"]},
+                {"name": "B", "indicators": ["b1", "b2"]},
+            ],
+            "paths": [{"source": "A", "target": "B"}],
+        }
+    )
+    r = np.array([[1.0, 0.5, 0.4], [0.5, 1.0, 0.3], [0.4, 0.3, 1.0]])
+    data = Moments(r, {"A": (0, 1), "B": (1, 3)}, ("a", "b1", "b2"))
+    default = fit_pls(data, spec)
+    assert default.paths[("A", "B")] > 0
+    for start in (-2.0, 2.0):
+        fit = fit_pls(data, spec, init_weights={"A": np.array([start])})
+        assert fit.weights["A"].tolist() == [1.0] and fit.loadings["A"].tolist() == [1.0]
+        for name in fit.constructs:
+            assert fit.weights[name].tobytes() == default.weights[name].tobytes()
+            assert fit.loadings[name].tobytes() == default.loadings[name].tobytes()
+        assert list(fit.paths.items()) == list(default.paths.items())
+        assert fit.r_squared == default.r_squared and fit.iterations == default.iterations
