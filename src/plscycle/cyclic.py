@@ -10,12 +10,13 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Moments, PreparedData
+from .dataset import Moments, PreparedData, _ask
 from .errors import EstimationError, ModelError
 from .modelspec import BlockSpec, ModelSpec, PathSpec, validate_model
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
@@ -24,6 +25,9 @@ DIRECTIONS = ("ce_gt_se", "se_gt_ce", "two_sided")
 ALPHA = 0.05
 
 SCORE_SUFFIX = "__score"
+
+# a frozen spec's verdict never changes, and every bootstrap replicate re-checks the point fit's
+_validated = functools.lru_cache(maxsize=64)(validate_model)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,7 @@ def estimate_cyclic(
     pair is left without a mirror and ``reinforcement_tests`` skips it. Never
     mutates the step-1 fit or the input data.
     """
-    report = validate_model(spec)
+    report = _validated(spec)
     if not report.ok:
         raise ModelError("; ".join(report.violations))
     step2_spec = build_feedback_model(fit, spec)
@@ -122,17 +126,34 @@ def estimate_cyclic(
     )
 
 
+def t_cdf(df: np.ndarray, x: np.ndarray, helper=None) -> np.ndarray:
+    """Student's t distribution function ``stdtr(df, x)``, from ``helper`` if it answers."""
+    answer = np.empty_like(x)
+    if helper is not None and _ask(helper, np.concatenate((df, x)), answer):
+        return answer
+    from scipy.special import stdtr  # not scipy.stats, which takes a second more to import
+    return stdtr(df, x)
+
+
+def t_cdf_helper(request) -> np.ndarray:
+    """Forked helper's work: import scipy.special, then answer ``t_cdf(df, x, helper)``."""
+    from scipy.special import stdtr
+    return stdtr(*np.frombuffer(request()).reshape(2, -1))
+
+
 def reinforcement_tests(
-    cyc: CyclicFit, boot, n: int, direction: str = "ce_gt_se"
+    cyc: CyclicFit, boot, n: int, direction: str = "ce_gt_se", helper=None
 ) -> dict[tuple[str, str], TestResult | str]:
     """The reinforcement test of every cyclic pair, or the reason it is skipped.
 
     Each cyclic coefficient source -> target is compared with its mirror
     target -> source using the bootstrap standard errors of both (``boot`` is
     a ``BootstrapResult`` of the cyclic model). A pair without a direct
-    mirror, or whose test cannot be computed, maps to its skip reason.
+    mirror, or whose test cannot be computed, maps to its skip reason. The
+    tails come from one ``t_cdf`` call, which ``helper``, a pipe to a forked
+    ``t_cdf_helper``, answers if given.
     """
-    tests: dict[tuple[str, str], TestResult | str] = {}
+    tests, welch = {}, {}
     for pair, beta_ce in cyc.cyclic_paths.items():
         source, target = pair
         beta_se = cyc.paired_sequential[pair]
@@ -141,9 +162,13 @@ def reinforcement_tests(
             continue
         sigma_se, sigma_ce = boot.paths[(target, source)].se, boot.cyclic_paths[pair].se
         try:
-            tests[pair] = reinforcement_test(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
+            tests[pair] = welch[pair] = _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
         except ValueError as exc:
             tests[pair] = f"test not computable: {exc}"
+    if welch:
+        _, df, x = np.array(list(welch.values()), dtype=np.float64).T
+        for (pair, (t, df_pair, _)), cdf_x in zip(welch.items(), t_cdf(df, x, helper)):
+            tests[pair] = _decide(t, df_pair, cdf_x, direction)
     return tests
 
 
@@ -168,6 +193,12 @@ def reinforcement_test(
     one-sided p uses the signed difference, so equal coefficients give
     p = 0.5; ``two_sided`` doubles the upper tail of |t|.
     """
+    t, df, x = _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
+    return _decide(t, df, t_cdf(df, x), direction)
+
+
+def _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction) -> tuple[float, int, float]:
+    """t, df and the x whose ``t_cdf(df, x)`` is the p-value, or its half if two-sided."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction '{direction}'")
     if sigma_se <= 0 or sigma_ce <= 0:
@@ -183,19 +214,14 @@ def reinforcement_test(
     # guard the floor against float rounding at integer boundaries, so the
     # equal-sigma case lands exactly on 2(n-1)
     df = max(1, int(math.floor(ratio * (1.0 + 1e-12) + 1e-9)))
-    # stdtr(df, -x) is how scipy.stats.t.sf(x, df) computes the upper tail;
-    # importing scipy.special here, and not scipy.stats at module level, keeps
-    # about a second of imports out of every process that runs no test
-    from scipy.special import stdtr
+    # stdtr(df, -s) is how scipy.stats.t.sf(s, df) takes the upper tail at the
+    # signed difference s; negating a difference or a quotient is exact
+    diff = beta_se - beta_ce if direction == "ce_gt_se" else beta_ce - beta_se
+    return t, df, -t if direction == "two_sided" else diff / math.sqrt(pooled)
 
-    if direction == "two_sided":
-        p = float(2.0 * stdtr(df, -t))
-    elif direction == "ce_gt_se":
-        signed = (beta_ce - beta_se) / math.sqrt(pooled)
-        p = float(stdtr(df, -signed))
-    else:
-        signed = (beta_se - beta_ce) / math.sqrt(pooled)
-        p = float(stdtr(df, -signed))
+
+def _decide(t: float, df: int, cdf_x, direction: str) -> TestResult:
+    p = float(2.0 * cdf_x) if direction == "two_sided" else float(cdf_x)
     decision = "reject" if p < ALPHA else "retain"
     return TestResult(
         t_statistic=float(t), df=df, p_value=p, direction=direction, decision=decision

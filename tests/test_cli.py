@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -13,7 +14,9 @@ import pytest
 import plscycle
 from plscycle import __version__, cli, dataset
 from plscycle.cli import main
+from plscycle.cyclic import DIRECTIONS, reinforcement_tests
 from plscycle.dataset import RawTable
+from plscycle.errors import EstimationError
 
 from conftest import exact_correlation_sample, in_child_only
 
@@ -365,10 +368,188 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     assert out.read_bytes() == serial.read_bytes()
 
 
+# cyclic source X5 with targets X1-X4: X1 and X4 have a direct mirror, X2 has
+# none, and X3's mirror gets a zero standard error, so its test is not computable
+HELPER_MODEL = {
+    "blocks": [
+        {"name": f"X{i}", "mode": "single-item", "indicators": [f"x{i}"]} for i in range(1, 6)
+    ],
+    "paths": [
+        {"source": s, "target": t}
+        for s, t in [("X1", "X2"), ("X2", "X3"), ("X3", "X5"), ("X1", "X5"), ("X4", "X5")]
+    ],
+    "cyclic": {"source": "X5"},
+}
+
+
+def helper_files(tmp_path, n=300):
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((n, 5))
+    x[:, 1] += 0.5 * x[:, 0]
+    x[:, 2] += 0.6 * x[:, 1]
+    x[:, 4] += 0.3 * x[:, 0] + 0.4 * x[:, 2] + 0.3 * x[:, 3]
+    data = write_csv(tmp_path, [f"x{i}" for i in range(1, 6)], x)
+    return write_model(tmp_path, HELPER_MODEL), data
+
+
+def flatten_mirror_and_record(monkeypatch) -> dict:
+    """Zero the bootstrap error of X3 -> X5; record what the report is built from."""
+    seen: dict = {}
+    boot_real, report_real = cli.bootstrap, cli.build_run_report
+
+    def flattened(*args, **kwargs):
+        boot = boot_real(*args, **kwargs)
+        flat = dataclasses.replace(boot.paths[("X3", "X5")], se=0.0)
+        return dataclasses.replace(boot, paths={**boot.paths, ("X3", "X5"): flat})
+
+    def recorded(spec, data, fit, **kwargs):
+        seen.update(kwargs, data=data)
+        return report_real(spec, data, fit, **kwargs)
+
+    monkeypatch.setattr(cli, "bootstrap", flattened)
+    monkeypatch.setattr(cli, "build_run_report", recorded)
+    return seen
+
+
+def in_process_tests(seen, direction):
+    return reinforcement_tests(seen["cyclic"], seen["boot"], seen["data"].n_effective, direction)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_helper_p_values_are_the_in_process_bits(tmp_path, capsys, monkeypatch, forks, direction):
+    seen = flatten_mirror_and_record(monkeypatch)
+    model, data = helper_files(tmp_path)
+    argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "100", "--seed", "5"]
+    with pytest.MonkeyPatch.context() as unloaded:
+        unloaded.delitem(sys.modules, "scipy.special", raising=False)
+        assert main(argv + ["--direction", direction]) == 0
+        assert "scipy.special" not in sys.modules  # every tail came from the helper
+    capsys.readouterr()
+    assert len(forks) == 2  # the parse and the helper
+    tests = seen["tests"]
+    assert list(tests.items()) == list(in_process_tests(seen, direction).items())
+    assert list(tests) == [("X5", "X1"), ("X5", "X2"), ("X5", "X3"), ("X5", "X4")]
+    assert tests[("X5", "X2")] == "no direct sequential path X2 -> X5"
+    assert tests[("X5", "X3")] == "test not computable: standard errors must be positive"
+    assert isinstance(tests[("X5", "X1")], plscycle.cyclic.TestResult)
+    assert isinstance(tests[("X5", "X4")], plscycle.cyclic.TestResult)
+
+
+class Interrupt(BaseException):
+    """Not an Exception, so ``main`` lets it through."""
+
+
+def interrupt(*args, **kwargs):
+    raise Interrupt
+
+
+def abort_bootstrap(*args, **kwargs):
+    raise EstimationError("bootstrap aborted: too many failed replicates")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ending", ["success", "exit 3", "BaseException"])
+def test_no_helper_outlives_the_run(tmp_path, capsys, monkeypatch, forks, ending):
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    model, data = triangle_files(tmp_path, cyclic_model())
+    argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]
+    if ending == "BaseException":
+        monkeypatch.setattr(cli, "_fit_or_fail", interrupt)  # the first call after the fork
+        with pytest.raises(Interrupt):
+            main(argv)
+    else:
+        if ending == "exit 3":
+            monkeypatch.setattr(cli, "bootstrap", abort_bootstrap)
+        assert main(argv) == (0 if ending == "success" else 3)
+    assert "scipy.special" not in sys.modules
+    capsys.readouterr()
+    assert len(forks) == 2  # the parse and the helper
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def answer_short(request):
+    request()
+    return np.zeros(1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("child", [fail_in_child, answer_short], ids=["raises", "answers short"])
+def test_a_failed_helper_leaves_the_in_process_p_values(
+    tmp_path, capsys, monkeypatch, forks, child
+):
+    seen = flatten_mirror_and_record(monkeypatch)
+    in_child_only(monkeypatch, cli, "t_cdf_helper", child)
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    model, data = helper_files(tmp_path)
+    assert main(["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]) == 0
+    capsys.readouterr()
+    assert len(forks) == 2
+    assert "scipy.special" in sys.modules  # imported here, as the helper gave no answer
+    assert list(seen["tests"].items()) == list(in_process_tests(seen, "ce_gt_se").items())
+
+
+def fork_fails():
+    raise OSError("no more processes")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("why", ["one CPU", "no os.fork", "fork fails", "scipy.special imported"])
+def test_no_helper_where_it_cannot_pay(tmp_path, capsys, monkeypatch, forks, why):
+    seen = flatten_mirror_and_record(monkeypatch)
+    model, data = helper_files(tmp_path)
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif why == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    elif why == "fork fails":
+        monkeypatch.setattr(os, "fork", fork_fails)
+    else:
+        import scipy.special  # noqa: F401
+    assert main(["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]) == 0
+    capsys.readouterr()
+    assert len(forks) == (1 if why == "scipy.special imported" else 0)  # the parse alone
+    assert list(seen["tests"].items()) == list(in_process_tests(seen, "ce_gt_se").items())
+
+
+CHAIN_POPULATION = {
+    "kind": "acyclic",
+    "n": 200,
+    "seed": 4,
+    "constructs": [
+        {"name": "A", "loadings": [0.8, 0.8, 0.8]},
+        {"name": "M", "single_item": True},
+        {"name": "B", "single_item": True},
+    ],
+    "paths": [
+        {"source": "A", "target": "M", "coefficient": 0.5},
+        {"source": "M", "target": "B", "coefficient": 0.5},
+        {"source": "A", "target": "B", "coefficient": 0.3},
+    ],
+}
+
+CHAIN_MODEL = {
+    "blocks": [
+        {"name": "A", "indicators": ["A_1", "A_2", "A_3"]},
+        {"name": "M", "mode": "single-item", "indicators": ["M_1"]},
+        {"name": "B", "mode": "single-item", "indicators": ["B_1"]},
+    ],
+    "paths": [
+        {"source": "A", "target": "M"},
+        {"source": "M", "target": "B"},
+        {"source": "A", "target": "B"},
+    ],
+    "cyclic": {"source": "B"},
+}
+
+
 def test_startup_and_simulate_load_no_scipy(tmp_path):
-    pop = write_model(tmp_path, POPULATION, name="pop.json")
+    pop = write_model(tmp_path, CHAIN_POPULATION, name="pop.json")
+    model = write_model(tmp_path, CHAIN_MODEL)
     script = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "import plscycle.cli\n"
@@ -376,18 +557,27 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
         "assert plscycle.cli.main(['simulate', '--population', sys.argv[1],"
         " '--out', sys.argv[2]]) == 0\n"
         "seen['simulate'] = scipy_modules()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, whatever this host has\n"
+        "assert plscycle.cli.main(['cyclic', '--model', sys.argv[3], '--data', sys.argv[2],"
+        " '--bootstrap', '100', '--out', sys.argv[4]]) == 0\n"
+        "seen['cyclic'] = scipy_modules()\n"
         "plscycle.cyclic.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
         "seen['test'] = scipy_modules()\n"
         "print(json.dumps(seen))\n"
     )
     src = str(Path(plscycle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    report = tmp_path / "report.json"
     done = subprocess.run(
-        [sys.executable, "-c", script, pop, str(tmp_path / "sim.csv")],
+        [sys.executable, "-c", script, pop, str(tmp_path / "sim.csv"), model, str(report)],
         capture_output=True, text=True, env=env, check=True,
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["import"] == [] and seen["simulate"] == []
+    # a forked helper took the cyclic run's tail probabilities
+    assert seen["cyclic"] == []
+    pairs = json.loads(report.read_text())["cyclic"]["pairs"]
+    assert len(pairs) == 2 and all("p" in pair for pair in pairs)
     # the tail probability is the first thing to need scipy, and not scipy.stats
     assert "scipy.special" in seen["test"] and "scipy.stats" not in seen["test"]
 

@@ -18,7 +18,9 @@ from plscycle import (
     reinforcement_test,
     reinforcement_tests,
     score_column_name,
+    validate_model,
 )
+from plscycle import cyclic as cyclic_module
 
 from conftest import exact_correlation_sample, make_prepared
 
@@ -319,3 +321,32 @@ def test_step_two_reestimates_multi_indicator_target_weights():
     # both pairs carry a direct sequential mirror here
     assert cyc.paired_sequential[("Y", "A")] == fit.paths[("A", "Y")]
     assert cyc.paired_sequential[("Y", "M")] == fit.paths[("M", "Y")]
+
+
+def test_bootstrap_validates_the_cyclic_spec_once(monkeypatch):
+    spec = chain_spec(cyclic={"source": "X3"})
+    data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=8), spec)
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return validate_model(spec)
+
+    monkeypatch.setattr(cyclic_module, "_validated", counted)
+    every_call = bootstrap(data, spec, b=100, seed=4)
+    assert len(calls) == 101  # the point estimate and each replicate
+    monkeypatch.undo()
+    cyclic_module._validated.cache_clear()
+    once = bootstrap(data, spec, b=100, seed=4)
+    info = cyclic_module._validated.cache_info()
+    assert (info.misses, info.hits) == (1, 100)
+    for kind in ("paths", "loadings", "cyclic_paths"):
+        before, after = getattr(every_call, kind), getattr(once, kind)
+        assert list(before) == list(after)
+        for key in before:
+            assert before[key].replicates.tobytes() == after[key].replicates.tobytes()
+    # a cached verdict keeps its violations
+    stray = dataclasses.replace(spec, cyclic=dataclasses.replace(spec.cyclic, targets=("X9",)))
+    for _ in range(2):
+        with pytest.raises(ModelError, match="cyclic target 'X9' is not an antecedent"):
+            estimate_cyclic(data, fit_pls(data, spec), stray)
