@@ -36,9 +36,6 @@ _TIE_RTOL = 1e-9
 # from a file of about 1 MiB
 _FORK_BYTES = 1 << 21
 
-# data rows formatted per write by ``write_table``
-_WRITE_ROWS = 8192
-
 
 @dataclass(frozen=True)
 class RawTable:
@@ -317,21 +314,6 @@ def _receive(pipe, into: np.ndarray) -> bool:
     return _payload_size(pipe) == view.nbytes and pipe.readinto(view) == view.nbytes
 
 
-def _relay(pipe, out) -> bool:
-    """Copy a forked child's result to the binary file ``out`` in 1 MiB chunks.
-
-    True if all of it arrived; otherwise ``out`` may hold a part of it.
-    """
-    left = _payload_size(pipe)
-    while left:
-        chunk = pipe.read(min(left, 1 << 20))
-        if not chunk:
-            return False
-        out.write(chunk)
-        left -= len(chunk)
-    return left == 0
-
-
 def _load_rows(path: str) -> RawTable:
     """Row-by-row reader: the reference parse, with line-numbered diagnostics."""
     with _open_table(path) as handle:
@@ -367,26 +349,30 @@ def _load_rows(path: str) -> RawTable:
 
 
 def _csv_body(values: np.ndarray) -> Iterator[str]:
-    """Rows as ``csv.writer`` writes them, ``_WRITE_ROWS`` rows a string.
+    """Rows as ``csv.writer`` writes them, a string a row, ``NA`` for a missing cell.
 
-    A float's str is its repr, which never needs quoting; chunks keep the
-    Python floats few.
+    A finite float's str is its repr, which never needs quoting and never
+    holds ``nan``; a body without NaN is not searched for one.
     """
-    for start in range(0, len(values), _WRITE_ROWS):
-        rows = values[start:start + _WRITE_ROWS].tolist()
-        yield "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in values)
+    if np.isnan(values).any():
+        return (row.replace("nan", "NA") for row in rows)
+    return rows
 
 
 def write_table(path: str, table: RawTable) -> None:
     """Write ``table`` as the comma-separated UTF-8 text ``load_table`` reads.
 
-    Values are written as ``repr`` gives them, so they read back exactly;
-    the header goes through ``csv.writer``. A forked child formats the back
-    half of a large body while this process writes the front half; if the
-    child fails, the file is cut back to the front half and the back half is
-    written here.
+    Values are written as ``repr`` gives them, so they read back exactly, and
+    a NaN (missing) cell as ``NA``; an infinite value raises ValueError before
+    the file is opened. The header goes through ``csv.writer``. A forked child
+    formats the back half of a large body while this process writes the front
+    half; the child's half reaches the file only once all of it has arrived,
+    and if the child fails or answers short, the back half is formatted here.
     """
     values = table.values
+    if np.isinf(values).any():
+        raise ValueError("an infinite value cannot be written: load_table rejects it")
     half = len(values) // 2
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
@@ -395,12 +381,13 @@ def write_table(path: str, table: RawTable) -> None:
         ) as pipe:
             handle.writelines(_csv_body(values if pipe is None else values[:half]))
             if pipe is not None:
-                handle.flush()
-                mark = handle.buffer.tell()
-                if not _relay(pipe, handle.buffer):
-                    handle.buffer.seek(mark)
-                    handle.buffer.truncate()
+                size = _payload_size(pipe)
+                back = pipe.read(size or 0)
+                if len(back) != size:  # size is None if the child failed; short if it died
                     handle.writelines(_csv_body(values[half:]))
+                else:
+                    handle.flush()
+                    handle.buffer.write(back)
 
 
 def standardize_column(x: np.ndarray, name: str = "") -> np.ndarray:

@@ -312,7 +312,7 @@ def test_simulate_is_deterministic(tmp_path, capsys):
 
 def test_simulate_writes_what_csv_writer_writes(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(5)
-    values = rng.standard_normal((2 * dataset._WRITE_ROWS + 5, 3))
+    values = rng.standard_normal((16_389, 3))
     values[:, 1] *= 1e-5  # scientific-notation reprs
     values[:6, 2] = [-0.0, 0.0, 5e-324, 1e16, -1.5e300, 1 / 3]
     table = RawTable(header=("a", "b,c", 'q"d'), values=values)
@@ -341,13 +341,29 @@ def fail_in_child(values):
     raise RuntimeError("the child fails")
 
 
-def relay_part(pipe, out):
-    out.write(b"0" * (1 << 20))  # more than the whole body: the parent must cut it off
-    return False
+class SendsHalf:
+    """A child's result file that promises every byte and sends half, like a killed child."""
+
+    def __init__(self, fd):
+        self.out, self.writes = open(fd, "wb"), 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.out.close()
+
+    def write(self, data):
+        self.writes += 1
+        return self.out.write(data if self.writes == 1 else memoryview(data)[: len(data) // 2])
+
+
+def open_sends_half(file, mode="r", *args, **kwargs):
+    return SendsHalf(file) if mode == "wb" else open(file, mode, *args, **kwargs)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("failure", ["child raises", "relay breaks off"])
+@pytest.mark.parametrize("failure", ["child raises", "child answers short"])
 def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     tmp_path, capsys, monkeypatch, forks, failure
 ):
@@ -360,12 +376,15 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     if failure == "child raises":
         in_child_only(monkeypatch, dataset, "_csv_body", fail_in_child)
     else:
-        monkeypatch.setattr(dataset, "_relay", relay_part)
+        monkeypatch.setattr(dataset, "open", open, raising=False)
+        in_child_only(monkeypatch, dataset, "open", open_sends_half)
     out = tmp_path / "forked.csv"
     assert main(["simulate", "--population", pop, "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(forks) == 1
     assert out.read_bytes() == serial.read_bytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
 
 
 # cyclic source X5 with targets X1-X4: X1 and X4 have a direct mirror, X2 has

@@ -3,19 +3,21 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from plscycle import (
     DataError,
     DataFileError,
+    RawTable,
     load_table,
     mca_first_dimension,
     mca_inertia_shares,
     parse_model,
     prepare_blocks,
     standardize_column,
+    write_table,
 )
 from plscycle import dataset
 
@@ -170,6 +172,9 @@ def cells(width):
     ),
     st.booleans(),
 )
+# test_forked_parse_equals_row_reader runs this with a fork per example, which
+# can take longer than the default 200 ms deadline on a loaded machine
+@settings(deadline=None)
 def test_vectorized_parse_equals_row_reader(rows, final_newline):
     width = len(rows[0])
     lines = [",".join(f"c{j}" for j in range(width))]
@@ -229,6 +234,58 @@ def test_forked_parse_equals_row_reader():
         forks = force_split(monkeypatch)
         test_vectorized_parse_equals_row_reader()
     assert forks
+
+
+@given(
+    arrays(
+        np.float64,
+        st.tuples(st.integers(2, 8), st.integers(1, 4)),
+        elements=st.one_of(st.just(np.nan), st.floats(allow_infinity=False)),
+    )
+)
+@settings(deadline=None)
+def test_write_table_round_trips_missing_cells(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.csv")
+        write_table(path, RawTable(tuple(f"c{j}" for j in range(values.shape[1])), values))
+        back = load_table(path).values
+    missing = np.isnan(values)
+    assert np.array_equal(np.isnan(back), missing)
+    assert back[~missing].tobytes() == values[~missing].tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_forked_write_table_round_trips_missing_cells():
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        forks = force_split(monkeypatch)
+        test_write_table_round_trips_missing_cells()
+    assert forks
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_forked_write_of_a_short_table_equals_the_serial_bytes(tmp_path, monkeypatch, rows):
+    values = np.arange(2.0 * rows).reshape(rows, 2) / 3
+    values[rows - 1:, 1] = np.nan
+    table = RawTable(("a", "b"), values)
+    serial, forked = tmp_path / "serial.csv", tmp_path / "forked.csv"
+    write_table(str(serial), table)
+    forks = force_split(monkeypatch)
+    write_table(str(forked), table)
+    assert len(forks) == 1
+    assert forked.read_bytes() == serial.read_bytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("infinity", [np.inf, -np.inf])
+def test_write_table_rejects_an_infinite_value_before_writing(tmp_path, forks, infinity):
+    path = tmp_path / "data.csv"
+    path.write_text("kept")
+    table = RawTable(("a", "b"), np.array([[1.0, 2.0], [3.0, infinity]]))
+    with pytest.raises(ValueError, match="infinite value"):
+        write_table(str(path), table)
+    assert path.read_text() == "kept"
+    assert forks == []
 
 
 # six body rows: the front half is lines 2-4, the back half lines 5-7
