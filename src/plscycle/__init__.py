@@ -37,7 +37,6 @@ from .dataset import (
     RawTable,
     load_table,
     mca_first_dimension,
-    mca_inertia_shares,
     prepare_blocks,
     standardize_column,
     write_table,
@@ -54,7 +53,6 @@ from .modelspec import (
     ancestors,
     model_document,
     parse_model,
-    serialize_model,
     topological_order,
     validate_model,
 )

@@ -65,27 +65,13 @@ class ReliabilityReport:
     constructs: tuple[ConstructReliability, ...]
 
 
-def _block_corr(block: np.ndarray, what: str) -> np.ndarray:
-    block = np.asarray(block, dtype=np.float64)
-    if block.shape[1] < 2:
-        raise ValueError(f"{what} needs at least 2 items")
-    return np.corrcoef(block, rowvar=False)
-
-
-def _alpha(corr: np.ndarray) -> float:
+def cronbach_alpha(corr: np.ndarray) -> float:
+    """Standardized-item alpha from R_bb: (p/(p-1)) * (1 - p / sum of R_bb)."""
+    corr = np.asarray(corr, dtype=np.float64)
     p = corr.shape[0]
+    if p < 2:
+        raise ValueError("cronbach_alpha needs at least 2 items")
     return float(p / (p - 1) * (1.0 - p / corr.sum()))
-
-
-def _eigenvalues(corr: np.ndarray) -> tuple[float, float, bool]:
-    eig = np.linalg.eigvalsh(corr)
-    eig1, eig2 = float(eig[-1]), float(eig[-2])
-    return eig1, eig2, eig1 > 1.0 and eig2 < 1.0
-
-
-def cronbach_alpha(block: np.ndarray) -> float:
-    """Standardized-item alpha: (p/(p-1)) * (1 - p / sum of correlations)."""
-    return _alpha(_block_corr(block, "cronbach_alpha"))
 
 
 def composite_reliability(loadings: np.ndarray) -> float:
@@ -126,12 +112,17 @@ def dijkstra_rho_a(weights: np.ndarray, corr: np.ndarray) -> float:
     return float((w @ w) ** 2 * numerator / denominator)
 
 
-def unidimensionality(block: np.ndarray) -> tuple[float, float, bool]:
-    """Two largest eigenvalues of the block correlation matrix.
+def unidimensionality(corr: np.ndarray) -> tuple[float, float, bool]:
+    """Two largest eigenvalues of the block correlation matrix R_bb.
 
     Passes when exactly the first exceeds 1 (eig1 > 1 and eig2 < 1).
     """
-    return _eigenvalues(_block_corr(block, "unidimensionality"))
+    corr = np.asarray(corr, dtype=np.float64)
+    if corr.shape[0] < 2:
+        raise ValueError("unidimensionality needs at least 2 items")
+    eig = np.linalg.eigvalsh(corr)
+    eig1, eig2 = float(eig[-1]), float(eig[-2])
+    return eig1, eig2, eig1 > 1.0 and eig2 < 1.0
 
 
 def threshold_flag(value: float, threshold: float) -> str:
@@ -174,13 +165,13 @@ def assess(fit: PlsFit, data: PreparedData | Moments, boot=None) -> ReliabilityR
         else:
             corr = data.corr[lo:hi, lo:hi]
             values = {
-                "alpha": _alpha(corr),
+                "alpha": cronbach_alpha(corr),
                 "composite_reliability": composite_reliability(lam),
                 "dijkstra_rho_a": dijkstra_rho_a(fit.weights[name], corr),
                 "ave": ave(lam),
             }
             flags = {key: threshold_flag(values[key], t) for key, t in _THRESHOLDS.items()}
-            values["eig1"], values["eig2"], unidim = _eigenvalues(corr)
+            values["eig1"], values["eig2"], unidim = unidimensionality(corr)
             flags["unidimensionality"] = FLAG_PASS if unidim else FLAG_FAIL
             loading_flags = [threshold_flag(float(v), LOADING_THRESHOLD) for v in lam]
         indicators = tuple(

@@ -187,6 +187,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.bootstrap < minimum:
         why = "reinforcement tests need bootstrap standard errors; " if cyclic else ""
         raise ValueError(f"{why}--bootstrap must be >= {minimum}, got {args.bootstrap}")
+    if 0 < args.bootstrap < MIN_REPLICATES:
+        raise ValueError(f"--bootstrap must be 0 or >= {MIN_REPLICATES}, got {args.bootstrap}")
     if not 0.0 < args.level < 1.0:
         raise ValueError(f"--level must be in (0, 1), got {args.level}")
     if not args.tol > 0:

@@ -426,13 +426,6 @@ def _mca_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, row_mass
 
 
-def mca_inertia_shares(block: np.ndarray) -> np.ndarray:
-    """Principal inertias as fractions of the total inertia."""
-    _, s, _ = _mca_svd(block)
-    inertias = s**2
-    return inertias / inertias.sum()
-
-
 def mca_first_dimension(block: np.ndarray) -> tuple[np.ndarray, float]:
     """Standard row coordinates on the first MCA dimension of a binary block.
 
@@ -479,8 +472,6 @@ def prepare_blocks(
     raw binary values of each mca-single-item block after the policy, and its
     score column is standardized along with everything else.
     """
-    if missing_policy == "mean-impute":
-        missing_policy = "mean"
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing policy '{missing_policy}'")
 

@@ -246,11 +246,6 @@ def model_document(spec: ModelSpec) -> dict:
     return doc
 
 
-def serialize_model(spec: ModelSpec) -> str:
-    """JSON text such that ``parse_model(serialize_model(spec)) == spec``."""
-    return json.dumps(model_document(spec), indent=2)
-
-
 def _wave_order(parents: Sequence[set[int]]) -> list[int] | None:
     """Topological order of nodes 0..k-1 given each node's parents, or None on a cycle.
 

@@ -141,15 +141,14 @@ def fit_pls(
     spec: ModelSpec,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    init_weights: dict[str, np.ndarray] | None = None,
 ) -> PlsFit:
     """Estimate the model on prepared (standardized) data or on its moments.
 
-    Outer weights start equal (or at ``init_weights``) and are rescaled to
-    unit score variance after every update. Each block is oriented so its
-    loading sum is non-negative. Convergence is the maximum absolute weight
-    change across all blocks dropping below ``tol``; hitting ``max_iter``
-    returns a fit with ``converged=False`` rather than raising.
+    Outer weights start equal and are rescaled to unit score variance after
+    every update. Each block is oriented so its loading sum is non-negative.
+    Convergence is the maximum absolute weight change across all blocks
+    dropping below ``tol``; hitting ``max_iter`` returns a fit with
+    ``converged=False`` rather than raising.
     """
     if not tol > 0:  # rejects NaN too
         raise ValueError("tol must be positive")
@@ -175,12 +174,7 @@ def fit_pls(
         w = w / std
         return -w if (within[i] @ w).sum() < 0 else w
 
-    weights: list[np.ndarray] = []
-    for i, name in enumerate(constructs):
-        w = np.asarray((init_weights or {}).get(name, np.ones(len(within[i]))), dtype=np.float64)
-        if w.shape != (len(within[i]),):
-            raise ValueError(f"init weights for '{name}' have the wrong length")
-        weights.append(settle(i, w))
+    weights = [settle(i, np.ones(len(within[i]))) for i in range(k)]
 
     converged = False
     iterations = 0

@@ -24,7 +24,6 @@ from plscycle import (
     fit_pls,
     gen_acyclic,
     mca_first_dimension,
-    mca_inertia_shares,
     parse_model,
     parse_population,
     population_truth,
@@ -306,28 +305,27 @@ def mca_oracle_first_dimension(block):
     scores = direction / np.sqrt(row_mass)
     if scores @ reference < 0:
         scores = -scores
-    return scores
+    return scores, float(s[0] ** 2 / np.sum(s**2))
 
 
 def test_criterion_08_mca_scores_match_an_independent_oracle(capsys):
-    scores, _ = mca_first_dimension(MCA_FIXTURE)
-    oracle = mca_oracle_first_dimension(MCA_FIXTURE)
+    scores, share = mca_first_dimension(MCA_FIXTURE)
+    oracle, oracle_share = mca_oracle_first_dimension(MCA_FIXTURE)
     deviation = min(
         np.max(np.abs(scores - oracle)), np.max(np.abs(scores + oracle))
     )
-    shares = mca_inertia_shares(MCA_FIXTURE)
-    share_err = abs(shares.sum() - 1.0)
+    share_err = abs(share - oracle_share)
     check(
-        capsys, 8, "first-dimension scores match a from-scratch SVD oracle",
+        capsys, 8, "first-dimension scores and inertia share match a from-scratch SVD oracle",
         deviation <= 1e-8 and share_err <= 1e-10,
-        f"score deviation {deviation:.2e}, share sum error {share_err:.2e}",
+        f"score deviation {deviation:.2e}, share error {share_err:.2e}",
     )
 
 
 def test_criterion_09_closed_form_reliability_suite(capsys):
     equi = np.full((4, 4), 0.5)
     np.fill_diagonal(equi, 1.0)
-    block = exact_correlation_sample(equi, 400, seed=12)
+    block = np.corrcoef(exact_correlation_sample(equi, 400, seed=12), rowvar=False)
     alpha_err = abs(cronbach_alpha(block) - 0.8)
     eig1, eig2, _ = unidimensionality(block)
     eig_err = max(abs(eig1 - 2.5), abs(eig2 - 0.5))

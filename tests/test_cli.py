@@ -200,6 +200,7 @@ def test_cyclic_subcommand_needs_enough_replicates(tmp_path, capsys):
         ("cyclic", ["--tol=-1e-6"], "--tol must be > 0, got -1e-06"),
         ("fit", ["--max-iter", "0"], "--max-iter must be >= 1, got 0"),
         ("cyclic", ["--max-iter=-3"], "--max-iter must be >= 1, got -3"),
+        ("fit", ["--bootstrap", "50"], "--bootstrap must be 0 or >= 100, got 50"),
     ],
 )
 def test_invalid_resampling_settings_exit_2_before_reading_data(

@@ -13,7 +13,6 @@ from plscycle import (
     RawTable,
     load_table,
     mca_first_dimension,
-    mca_inertia_shares,
     parse_model,
     prepare_blocks,
     standardize_column,
@@ -423,10 +422,11 @@ def test_mean_policy_keeps_rows_and_imputes_column_mean(tmp_path):
 
 def test_mean_impute_alias_and_unknown_policy(tmp_path):
     raw = load_table(numeric_csv(tmp_path))
-    data = prepare_blocks(raw, two_block_model(), "mean-impute")
+    data = prepare_blocks(raw, two_block_model(), "mean")
     assert data.missing_policy == "mean"
-    with pytest.raises(ValueError, match="unknown missing policy"):
-        prepare_blocks(raw, two_block_model(), "pairwise")
+    for policy in ("mean-impute", "pairwise"):
+        with pytest.raises(ValueError, match="unknown missing policy"):
+            prepare_blocks(raw, two_block_model(), policy)
 
 
 def test_policies_agree_on_complete_data(tmp_path):
@@ -467,12 +467,6 @@ def test_mca_fixture_matches_frozen_oracle():
     assert abs(share - 4.0 / 9.0) < 1e-12
     assert abs(scores.mean()) < 1e-12
     assert abs(scores.var() - 1.0) < 1e-12
-
-
-def test_mca_inertia_shares_of_fixture():
-    shares = mca_inertia_shares(MCA_FIXTURE)
-    assert abs(shares.sum() - 1.0) < 1e-10
-    assert np.allclose(shares[:3], [4 / 9, 4 / 9, 1 / 9], atol=1e-12)
 
 
 def test_mca_single_variable_equals_standardized_column():
@@ -518,15 +512,13 @@ def test_mca_rejects_non_binary_and_constant_variables():
 
 
 @given(st.integers(0, 2**32))
-def test_mca_shares_sum_to_one(seed):
+def test_mca_share_is_a_fraction_and_scores_follow_row_sums(seed):
     rng = np.random.default_rng(seed)
     block = (rng.random((25, 3)) > rng.uniform(0.2, 0.8)).astype(float)
     block[0] = 0.0
     block[1] = 1.0
-    shares = mca_inertia_shares(block)
-    assert abs(shares.sum() - 1.0) < 1e-10
-    assert (shares >= -1e-15).all()
-    scores, _ = mca_first_dimension(block)
+    scores, share = mca_first_dimension(block)
+    assert 0.0 < share <= 1.0 + 1e-12
     assert float(np.dot(scores, block.sum(axis=1) - block.sum(axis=1).mean())) >= 0
 
 
