@@ -133,10 +133,7 @@ def _emit(report: dict, out: str | None, fmt: str) -> None:
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out is not None:
         Path(out).write_text(payload, encoding="utf-8")
-        if fmt in ("text", "both"):
-            sys.stdout.write(render_text(report))
-        return
-    if fmt in ("json", "both"):
+    elif fmt in ("json", "both"):
         sys.stdout.write(payload)
     if fmt in ("text", "both"):
         sys.stdout.write(render_text(report))
@@ -148,15 +145,6 @@ def _prepare(args: argparse.Namespace, spec: ModelSpec):
     if not check.ok:
         raise ModelError("; ".join(check.violations))
     return prepare_blocks(raw, spec, missing_policy=args.missing)
-
-
-def _fit_or_fail(data, spec, args):
-    fit = fit_pls(data, spec, tol=args.tol, max_iter=args.max_iter)
-    if not fit.converged:
-        raise EstimationError(
-            f"weights did not converge within {args.max_iter} iterations"
-        )
-    return fit
 
 
 def _settings(args: argparse.Namespace, spec: ModelSpec) -> dict:
@@ -198,7 +186,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     data = _prepare(args, spec)
     # a helper imports scipy.special (a quarter second) on another CPU as this one fits
     with _forked(t_cdf_helper, cyclic and "scipy.special" not in sys.modules) as helper:
-        fit = _fit_or_fail(data, spec, args)
+        fit = fit_pls(data, spec, tol=args.tol, max_iter=args.max_iter)
+        if not fit.converged:
+            raise EstimationError(f"weights did not converge within {args.max_iter} iterations")
         cyc = boot = tests = None
         if cyclic:
             cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)

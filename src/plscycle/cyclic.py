@@ -10,7 +10,6 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,15 +18,12 @@ import numpy as np
 from .dataset import Moments, PreparedData, _ask
 from .errors import EstimationError, ModelError
 from .modelspec import BlockSpec, ModelSpec, PathSpec, validate_model
-from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
+from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _as_fit, _fit_stack
 
 DIRECTIONS = ("ce_gt_se", "se_gt_ce", "two_sided")
 ALPHA = 0.05
 
 SCORE_SUFFIX = "__score"
-
-# a frozen spec's verdict never changes, and every bootstrap replicate re-checks the point fit's
-_validated = functools.lru_cache(maxsize=64)(validate_model)
 
 
 @dataclass(frozen=True)
@@ -92,7 +88,7 @@ def estimate_cyclic(
     pair is left without a mirror and ``reinforcement_tests`` skips it. Never
     mutates the step-1 fit or the input data.
     """
-    report = _validated(spec)
+    report = validate_model(spec)
     if not report.ok:
         raise ModelError("; ".join(report.violations))
     step2_spec = build_feedback_model(fit, spec)
@@ -100,30 +96,43 @@ def estimate_cyclic(
     column = score_column_name(source)
     if column in data.columns:
         raise EstimationError(f"column name '{column}' collides with a data column")
-
-    # extend R by the step-1 source score: its covariance with every column is
-    # R[:, source] w_source, and its own variance is w_source' R w_source
-    lo, hi = data.block_index[source]
-    weights = fit.weights[source]
-    cov = data.corr[:, lo:hi] @ weights
-    corr = np.block([[data.corr, cov[:, None]], [cov, np.atleast_2d(cov[lo:hi] @ weights)]])
+    failures: list[str | None] = [None]
+    step2, block_index = _fit_step2(data.corr[None], fit.weights[source][None], data.block_index,
+                                    step2_spec, tol, max_iter, failures)
+    if failures[0] is not None:
+        raise EstimationError(failures[0])
+    step2_fit = _as_fit(step2_spec, block_index, step2)
     targets = spec.cyclic.targets
-    block_index = {source: (len(cov), len(cov) + 1), **{t: data.block_index[t] for t in targets}}
-    step2_data = Moments(corr, block_index, data.columns + (column,))
-    step2_fit = fit_pls(step2_data, step2_spec, tol=tol, max_iter=max_iter)
-    if not step2_fit.converged:
-        raise EstimationError(
-            f"step-2 estimation did not converge in {max_iter} iterations"
-        )
-    cyclic_paths = {(source, t): step2_fit.paths[(source, t)] for t in targets}
-    paired = {(source, t): fit.paths.get((t, source)) for t in targets}
     return CyclicFit(
-        step2_spec=step2_spec,
-        step2_fit=step2_fit,
-        score_column=column,
-        cyclic_paths=cyclic_paths,
-        paired_sequential=paired,
+        step2_spec=step2_spec, step2_fit=step2_fit, score_column=column,
+        cyclic_paths={(source, t): step2_fit.paths[(source, t)] for t in targets},
+        paired_sequential={(source, t): fit.paths.get((t, source)) for t in targets},
     )
+
+
+def _fit_step2(corr: np.ndarray, weights: np.ndarray, block_index: dict[str, tuple[int, int]],
+               step2_spec: ModelSpec, tol: float, max_iter: int,
+               failures: list[str | None]) -> tuple:
+    """Step 2 on a stack of R, given each one's step-1 source weights (m, s).
+
+    Each R gains the source score as its last row and column. A replicate
+    whose step 2 does not converge fails. Returns the ``_fit_stack`` result
+    and the step-2 block index.
+    """
+    source, *targets = step2_spec.block_names()
+    lo, hi = block_index[source]
+    p = corr.shape[1]
+    # the score's covariance with every column is R[:, source] w_source, and
+    # its own variance is w_source' R w_source
+    cov = (corr[:, :, lo:hi] @ weights[..., None])[..., 0]
+    extended = np.pad(corr, ((0, 0), (0, 1), (0, 1)))
+    extended[:, p, :p] = extended[:, :p, p] = cov
+    extended[:, p, p] = (cov[:, None, lo:hi] @ weights[..., None])[:, 0, 0]
+    index = {source: (p, p + 1), **{t: block_index[t] for t in targets}}
+    step2 = _fit_stack(extended, step2_spec, index, tol, max_iter, failures)
+    failed = f"step-2 estimation did not converge in {max_iter} iterations"
+    failures[:] = [f or (None if done else failed) for f, done in zip(failures, step2[5])]
+    return step2, index
 
 
 def t_cdf(df: np.ndarray, x: np.ndarray, helper=None) -> np.ndarray:

@@ -92,10 +92,10 @@ def load_table(path: str) -> RawTable:
     with their line number), duplicate column names, and non-numeric cells.
 
     A body with no quote, no carriage return and no blank line is parsed in
-    one vectorized pass, which maps empty and ``NA`` cells to NaN; anything
-    that pass cannot take as it is (a whitespace-only cell, a bad or
-    non-finite number) goes to the row-by-row reader, which yields the same
-    values and every diagnostic.
+    one vectorized pass, which maps empty, blank and ``NA`` cells to NaN;
+    anything that pass cannot take as it is (a bad or non-finite number) goes
+    to the row-by-row reader, which yields the same values and every
+    diagnostic.
     """
     with _open_table(path) as handle:
         header = _read_header(csv.reader(handle), path)
@@ -217,7 +217,7 @@ def _loadtxt(path: str, skip: int, rows: int, width: int) -> np.ndarray:
 
 
 def _missing_as_nan(line: bytes) -> bytes:
-    """``line`` with each empty or (padded) ``NA`` cell rewritten to ``nan``.
+    """``line`` with each empty, blank or (padded) ``NA`` cell rewritten to ``nan``.
 
     Raises ValueError on an ``n`` or ``N`` outside the ``NA`` tokens or a sign
     before one, so every NaN ``np.loadtxt`` gives is a missing cell.
@@ -229,6 +229,8 @@ def _missing_as_nan(line: bytes) -> bytes:
         if b"N" in line.replace(b"NA", b"") or b"-NA" in line or b"+NA" in line:
             raise ValueError("an N outside an NA token, or a signed NA")
         line = line.replace(b"NA", b"nan")
+    if b" " in line or b"\t" in line:  # a cell of spaces and tabs is empty
+        line = b",".join(cell if cell.strip(b" \t") else b"" for cell in line.split(b","))
     # ",,," holds two empty cells that share a comma, so one pass finds only the first
     return line.replace(b",,", b",nan,").replace(b",,", b",nan,")[1:-1]
 

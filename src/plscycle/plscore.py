@@ -1,16 +1,17 @@
 """Iterative PLS path-modeling estimator on the indicator correlation matrix.
 
 Every standardized PLS quantity is a function of the indicator correlation
-matrix R (Lohmöller 1989, ch. 2), so the fixed point runs on R. With W the
-block-diagonal outer weights, the score covariance W'RW yields the inner
-proxies (centroid, factorial, or path scheme); mode A weights are
-R[block, :] W e_i, mode B solves against R[block, block], and single-item
-blocks keep a fixed unit weight. Loadings are R[block, :] w_i / sqrt(w_i' R
-w_i); path coefficients are OLS on the score correlations. A fit is the same
-on prepared data and on its moments; ``PreparedData.score`` turns its weights
-into scores. The layout (column order, block slices, inner-model indices) is
-derived once per model and block layout, and one iteration's regressions are
-solved in one stacked call per predecessor count.
+matrix R (Lohmöller 1989, ch. 2), so the fixed point runs on R, and on a
+stack of them at once: ``_fit_stack`` fits an (m, p, p) stack, and
+``fit_pls`` is its m = 1 case. With W the block-diagonal outer weights, the
+score covariance W'RW yields the inner proxies (centroid, factorial, or path
+scheme); mode A weights are R[block, :] W e_i, mode B solves against
+R[block, block], and single-item blocks keep a fixed unit weight. Loadings
+are R[block, :] w_i / sqrt(w_i' R w_i); path coefficients are OLS on the
+score correlations, one stacked solve per predecessor count. Each replicate
+of a stack stops updating once it converges or fails, so it ends where a lone
+fit of its R would. A fit is the same on prepared data and on its moments;
+``PreparedData.score`` turns its weights into scores.
 
 All location parameters are identically zero because every column entering
 the estimator is standardized; reports list them as 0 for completeness.
@@ -18,8 +19,6 @@ the estimator is standardized; reports list them as 0 for completeness.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,87 +52,149 @@ class PlsFit:
 _Groups = tuple[tuple[np.ndarray, np.ndarray], ...]
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(spec: ModelSpec, bounds: tuple[tuple[int, int], ...]) -> tuple:
-    """What a fit derives from the model and its blocks' column bounds alone.
+def _solve_groups(corr: np.ndarray, groups: _Groups) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized OLS on a stack of correlation matrices, one stacked solve per group.
 
-    That is the ``np.ix_`` of the model's columns in block order, each block's
-    slice of them, ``member`` (member[j, i] is 1 when model column j belongs to
-    block i, else 0), the regression groups and the constructs without neighbors.
+    Returns B (m, k, k), where B[:, t, s] is the coefficient of predecessor s
+    in the regression of t, and which targets' systems are singular (m, k). A
+    system is singular when its condition number exceeds ``_COND_LIMIT``; a
+    finite 1x1 system's is 1, or inf at zero, so it skips the SVD. A singular
+    system is solved as the identity instead, since one exactly singular
+    matrix would stop the whole stacked solve.
     """
-    constructs = spec.block_names()
-    k = len(constructs)
-    index = {name: i for i, name in enumerate(constructs)}
-    columns: list[int] = []
-    slices: list[slice] = []
+    m, k = corr.shape[:2]
+    b, singular = np.zeros((m, k, k)), np.zeros((m, k), bool)
+    for targets, preds in groups:
+        g, s = preds.shape
+        a = corr[:, preds[:, :, None], preds[:, None, :]].reshape(-1, s, s)
+        finite_1x1 = s == 1 and np.isfinite(a).all()
+        bad = a[:, 0, 0] == 0.0 if finite_1x1 else np.linalg.cond(a) > _COND_LIMIT
+        a[bad] = np.eye(s)
+        rhs = corr[:, preds, targets[:, None], None].reshape(-1, s, 1)
+        b[:, targets[:, None], preds] = np.linalg.solve(a, rhs).reshape(m, g, s)
+        singular[:, targets] = bad.reshape(m, g)
+    return b, singular
+
+
+def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[int, int]],
+               tol: float, max_iter: int, failures: list[str | None]) -> tuple:
+    """The fixed point on an (m, p, p) stack of indicator correlation matrices.
+
+    Returns the outer weights and loadings (m, q) of the model's q columns in
+    block order, the path coefficients B (m, k, k), where B[:, t, s] is the
+    path s -> t, R squared (m, k), and each replicate's iteration count and
+    convergence flag. ``failures`` has one entry per replicate: one already
+    set is not fitted, and a replicate that fails gets its first failure's
+    message there, as a lone fit would raise it.
+    """
+    if not tol > 0:  # rejects NaN too
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
+    names = spec.block_names()
+    k = len(names)
+    bounds = [block_index[name] for name in names]
     for block, (lo, hi) in zip(spec.blocks, bounds):
         if block.mode in UNIT_MODES and hi - lo != 1:
             raise EstimationError(f"block '{block.name}' must be prepared to exactly one column")
-        slices.append(slice(len(columns), len(columns) + hi - lo))
-        columns.extend(range(lo, hi))
-    member = np.eye(k)[np.repeat(np.arange(k), [s.stop - s.start for s in slices])]
-    preds = [[index[p] for p in spec.predecessors(name)] for name in constructs]
+    columns = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
+    r = corr[:, columns[:, None], columns]
+    m, q = r.shape[:2]
+    owner = np.repeat(np.arange(k), [hi - lo for lo, hi in bounds])  # each column's block
+    cols, member = np.arange(q), np.eye(k)[owner]
+    unit = np.array([block.mode in UNIT_MODES for block in spec.blocks])
+    formative = np.flatnonzero([spec.blocks[i].mode == "formative" for i in owner])
+    same = (member @ member.T)[np.ix_(formative, formative)]  # 1 within a block, else 0
+    # adjacency[t, s] is 1 when s precedes t; an isolated construct is its own proxy
+    adjacency = np.array([[s in spec.predecessors(t) for s in names] for t in names], float)
+    alone = np.diag(~(adjacency + adjacency.T).any(1) * 1.0)
+    counts = adjacency.sum(1).astype(int)
     groups = []
-    for count in sorted({len(p) for p in preds} - {0}):
-        targets = [i for i in range(k) if len(preds[i]) == count]
-        groups.append((np.array(targets), np.array([preds[i] for i in targets])))
-    isolated = [i for i, name in enumerate(constructs) if not preds[i] and not spec.successors(name)]
-    return np.ix_(columns, columns), tuple(slices), member, tuple(groups), isolated
+    for count in np.unique(counts[counts > 0]):
+        targets = np.flatnonzero(counts == count)
+        groups.append((targets, adjacency[targets].nonzero()[1].reshape(-1, count)))
+    live = np.array([failure is None for failure in failures], bool)
 
+    def fail(rows: np.ndarray, bad: np.ndarray, message: str) -> None:
+        """Fail each live replicate of ``rows`` with a ``bad`` block, naming the first."""
+        hit = bad.any(1) & live[rows]
+        for j, first in zip(rows[hit].tolist(), bad[hit].argmax(1).tolist()):
+            failures[j] = message.format(names[first])
+        live[rows[hit]] = False
 
-def _solve_groups(corr: np.ndarray, groups: _Groups, names: tuple[str, ...]) -> list[np.ndarray]:
-    """Standardized OLS coefficients from a correlation matrix, one stacked solve per group.
+    def settle(rows: np.ndarray, rr: np.ndarray, w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+        """Scale to unit score variance, then orient to a non-negative loading sum."""
+        within = (rr @ (member * w[..., None]))[:, cols, owner]  # R[block, block] w
+        std = np.sqrt(np.maximum((w * within) @ member, 0.0))
+        degenerate = std <= 1e-12
+        fail(rows, degenerate & blocks, "degenerate score variance in block '{}'")
+        scale = np.where(degenerate, 1.0, std) * np.where(within @ member < 0, -1.0, 1.0)
+        return w / scale[:, owner]
 
-    A group's result is (g, s). A system is singular when its condition number
-    exceeds ``_COND_LIMIT``; a finite 1x1 system's is 1, or inf at zero, so it
-    skips the SVD. The first singular system in construct order raises.
-    """
-    systems, singular = [], []
-    for targets, preds in groups:
-        a = corr[preds[:, :, None], preds[:, None, :]]
-        if preds.shape[1] == 1 and np.isfinite(a).all():
-            singular.extend(targets[a[:, 0, 0] == 0.0])
+    rows = np.flatnonzero(live)
+    rr = r[rows]
+    singular = np.zeros((len(rows), k), bool)
+    for i in np.flatnonzero([block.mode == "formative" for block in spec.blocks]):
+        block = np.flatnonzero(owner == i)
+        singular[:, i] = np.linalg.cond(rr[:, block[:, None], block]) > _COND_LIMIT
+    fail(rows, singular, "singular system in formative block '{}'")
+    w, iterations, converged = np.ones((m, q)), np.zeros(m, int), np.zeros(m, bool)
+    w[rows] = settle(rows, rr, w[rows], np.ones(k, bool))
+
+    for iteration in range(1, max_iter + 1):
+        active = live[rows] & ~converged[rows]
+        rows, rr = (rows, rr) if active.all() else (rows[active], rr[active])
+        if not len(rows):
+            break
+        w_mat = member * w[rows][..., None]  # block-diagonal W
+        cross = rr @ w_mat  # covariance of every column with every score
+        cov = w_mat.transpose(0, 2, 1) @ cross
+        if spec.scheme == "path":
+            beta, singular = _solve_groups(cov, groups)
+            fail(rows, singular, "singular system: collinear predecessors of '{}'")
+            e = beta + cov * adjacency.T  # and each predecessor weighs its successors
         else:
-            singular.extend(targets[np.linalg.cond(a) > _COND_LIMIT])
-        systems.append((a, corr[preds, targets[:, None], None]))
-    if singular:
-        raise EstimationError(f"singular system: collinear predecessors of '{names[min(singular)]}'")
-    return [np.linalg.solve(a, b)[..., 0] for a, b in systems]
+            e = (np.sign(cov) if spec.scheme == "centroid" else cov) * (adjacency + adjacency.T)
+        new = (cross @ (e + alone).transpose(0, 2, 1))[:, cols, owner]  # mode A: cov with the proxy
+        if len(formative):  # mode B regresses it on the block
+            a = rr[:, formative[:, None], formative] * same
+            new[:, formative] = np.linalg.solve(a, new[:, formative, None])[..., 0]
+        new = np.where(unit[owner], w[rows], settle(rows, rr, new, ~unit))
+        converged[rows] = np.abs(new - w[rows]).max(1) < tol
+        w[rows], iterations[rows] = new, iteration
+
+    rows = np.flatnonzero(live)
+    w_mat = member * w[rows][..., None]
+    cross = r[rows] @ w_mat
+    cov = w_mat.transpose(0, 2, 1) @ cross
+    std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    score_corr = cov / (std[:, :, None] * std[:, None, :])
+    beta, singular = _solve_groups(score_corr, groups)
+    fail(rows, singular, "singular system: collinear predecessors of '{}'")
+    loadings, b, r_squared = np.zeros((m, q)), np.zeros((m, k, k)), np.zeros((m, k))
+    loadings[rows] = cross[:, cols, owner] / std[:, owner]
+    b[rows] = beta
+    r_squared[rows] = (score_corr.transpose(0, 2, 1) * beta).sum(2)
+    return w, loadings, b, r_squared, iterations, converged & live
 
 
-def _structural(
-    corr: np.ndarray, groups: _Groups, constructs: tuple[str, ...]
-) -> tuple[dict[tuple[str, str], float], dict[str, float]]:
-    """OLS path coefficients and R squared from the score correlation matrix."""
-    systems: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for (targets, preds), beta in zip(groups, _solve_groups(corr, groups, constructs)):
-        systems.update(zip(targets.tolist(), zip(preds, beta)))
-    paths: dict[tuple[str, str], float] = {}
-    r_squared: dict[str, float] = {}
-    for target, (preds, beta) in sorted(systems.items()):
-        name = constructs[target]
-        for p, value in zip(preds, beta):
-            paths[(constructs[p], name)] = float(value)
-        r_squared[name] = float(corr[preds, target] @ beta)
-    return paths, r_squared
-
-
-def _inner_weights(
-    corr: np.ndarray, scheme: str, groups: _Groups, isolated: list[int], names: tuple[str, ...]
-) -> np.ndarray:
-    """Adjacency weighting matrix E; proxy for construct k is scores @ E[k]."""
-    weigh = np.sign if scheme == "centroid" else np.asarray
-    if scheme == "path":
-        betas = _solve_groups(corr, groups, names)
-    else:
-        betas = [weigh(corr[targets[:, None], preds]) for targets, preds in groups]
-    e = np.zeros_like(corr)
-    e[isolated, isolated] = 1.0  # isolated construct: its own score is the proxy
-    for (targets, preds), beta in zip(groups, betas):
-        e[targets[:, None], preds] = beta
-    for targets, preds in groups:  # then each predecessor weighs its successors
-        e[preds, targets[:, None]] = weigh(corr[preds, targets[:, None]])
-    return e
+def _as_fit(spec: ModelSpec, block_index: dict[str, tuple[int, int]], stack: tuple) -> PlsFit:
+    """The ``PlsFit`` of a one-replicate ``_fit_stack`` result."""
+    weights, loadings, b, r_squared, iterations, converged = (part[0] for part in stack)
+    names = spec.block_names()
+    cuts = np.cumsum([block_index[name][1] - block_index[name][0] for name in names])[:-1]
+    targets = [name for name in names if spec.predecessors(name)]
+    return PlsFit(
+        constructs=names,
+        modes={block.name: block.mode for block in spec.blocks},
+        weights=dict(zip(names, np.split(weights, cuts))),
+        loadings=dict(zip(names, np.split(loadings, cuts))),
+        paths={(s, t): float(b[names.index(t), names.index(s)]) for t in targets
+               for s in spec.predecessors(t)},
+        r_squared={t: float(r_squared[names.index(t)]) for t in targets},
+        iterations=int(iterations),
+        converged=bool(converged),
+    )
 
 
 def fit_pls(
@@ -150,63 +211,8 @@ def fit_pls(
     dropping below ``tol``; hitting ``max_iter`` returns a fit with
     ``converged=False`` rather than raising.
     """
-    if not tol > 0:  # rejects NaN too
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
-    constructs = spec.block_names()
-    k = len(constructs)
-    modes = [block.mode for block in spec.blocks]
-    bounds = tuple(data.block_index[name] for name in constructs)
-    columns, slices, member, groups, isolated = _layout(spec, bounds)
-    r = data.corr[columns]
-    within = [r[s, s] for s in slices]
-
-    for i, name in enumerate(constructs):
-        if modes[i] == "formative" and np.linalg.cond(within[i]) > _COND_LIMIT:
-            raise EstimationError(f"singular system in formative block '{name}'")
-
-    def settle(i: int, w: np.ndarray) -> np.ndarray:
-        """Scale to unit score variance, then orient to a non-negative loading sum."""
-        std = math.sqrt(max(float(w @ within[i] @ w), 0.0))
-        if std <= 1e-12:
-            raise EstimationError(f"degenerate score variance in block '{constructs[i]}'")
-        w = w / std
-        return -w if (within[i] @ w).sum() < 0 else w
-
-    weights = [settle(i, np.ones(len(within[i]))) for i in range(k)]
-
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w_mat = member * np.concatenate(weights)[:, None]  # block-diagonal W
-        cross = r @ w_mat  # covariance of every column with every score
-        e = _inner_weights(w_mat.T @ cross, spec.scheme, groups, isolated, constructs)
-        proxy_cov = cross @ e.T  # covariance of every column with every inner proxy
-        delta = 0.0
-        for i in range(k):
-            if modes[i] in UNIT_MODES:
-                continue
-            cov = proxy_cov[slices[i], i]  # mode A; mode B regresses it on the block
-            w = settle(i, np.linalg.solve(within[i], cov) if modes[i] == "formative" else cov)
-            delta = max(delta, float(np.max(np.abs(w - weights[i]))))
-            weights[i] = w
-        if delta < tol:
-            converged = True
-            break
-
-    w_mat = member * np.concatenate(weights)[:, None]
-    cross = r @ w_mat
-    score_cov = w_mat.T @ cross
-    std = np.sqrt(np.diag(score_cov))
-    paths, r_squared = _structural(score_cov / np.outer(std, std), groups, constructs)
-    return PlsFit(
-        constructs=constructs,
-        modes={name: modes[i] for i, name in enumerate(constructs)},
-        weights={name: weights[i] for i, name in enumerate(constructs)},
-        loadings={name: cross[slices[i], i] / std[i] for i, name in enumerate(constructs)},
-        paths=paths,
-        r_squared=r_squared,
-        iterations=iterations,
-        converged=converged,
-    )
+    failures: list[str | None] = [None]
+    stack = _fit_stack(data.corr[None], spec, data.block_index, tol, max_iter, failures)
+    if failures[0] is not None:
+        raise EstimationError(failures[0])
+    return _as_fit(spec, data.block_index, stack)

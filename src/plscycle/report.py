@@ -174,15 +174,12 @@ def build_run_report(
             "seed": int(boot.seed),
         }
     if cyclic is not None:
-        source = cyclic.step2_spec.paths[0].source
-        step2_columns = {source: (cyclic.score_column,)}
-        for name in cyclic.step2_spec.block_names():
-            if name != source:
-                step2_columns[name] = block_columns[name]
+        source, *targets = cyclic.step2_spec.block_names()
+        step2_columns = {source: (cyclic.score_column,), **{t: block_columns[t] for t in targets}}
         report["cyclic"] = {
             "source": source,
             "score_column": cyclic.score_column,
-            "targets": [p.target for p in cyclic.step2_spec.paths],
+            "targets": targets,
             "step2": _fit_section(
                 cyclic.step2_fit,
                 step2_columns,

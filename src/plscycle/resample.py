@@ -2,11 +2,12 @@
 
 Each replicate draws rows with replacement and re-runs the full pipeline on
 the resample's indicator correlation matrix: the PLS fit and, when the model
-has a cyclic section, both steps of the feedback estimator. A replicate's
-coefficients are recorded sign-aligned against the original sample, by one
-sign per block, preventing the arbitrary orientation of composite scores
-from inflating the spread. Replicate r draws from a counter-based generator
-keyed by (seed, r), so results do not depend on execution order.
+has a cyclic section, both steps of the feedback estimator, each as one
+stacked fit of a chunk's replicates. A replicate's coefficients are recorded
+sign-aligned against the original sample, by one sign per block, preventing
+the arbitrary orientation of composite scores from inflating the spread.
+Replicate r draws from a counter-based generator keyed by (seed, r), so
+results do not depend on execution order.
 
 The drawn rows are never copied. A chunk of replicates keeps its per-row
 draw counts as one uint8 count matrix C (replicates x rows); for each block
@@ -28,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import CyclicFit, estimate_cyclic
+from .cyclic import _fit_step2, estimate_cyclic
 from .dataset import Moments, PreparedData
 from .errors import DataError, EstimationError
 from .modelspec import ModelSpec
-from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, fit_pls
+from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit_stack, fit_pls
 
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
@@ -159,8 +160,9 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray) -> tuple[np.nd
     return cov / (std[:, :, None] * std[:, None, :]), holds
 
 
-def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[Moments | np.ndarray]:
-    """Each replicate's Moments in r order, or its counts where the exact path decides."""
+def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[np.ndarray, list]]:
+    """Each chunk's replicate correlation matrices in r order, and their failures:
+    None, or the message of a replicate whose exact moments have a zero variance."""
     n = data.matrix.shape[0]
     buffer = np.empty((max(1, min(b, _COUNT_BUFFER_BYTES // n)), n), np.uint8)
     for start in range(0, b, len(buffer)):
@@ -172,19 +174,14 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[Moment
             if drawn.max() > 255:  # wrapped in the buffer
                 wide[i] = drawn
         corr, holds = _batched_correlations(data, counts)
+        failures: list[str | None] = [None] * len(counts)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
-                yield wide.get(i, counts[i].astype(np.intp))
-            else:
-                yield Moments(corr[i], data.block_index, data.columns)
-
-
-def _signs(fit: PlsFit, reference: PlsFit) -> dict[str, float]:
-    """-1.0 for each block whose weights point away from the reference's, else 1.0."""
-    return {
-        name: -1.0 if float(fit.weights[name] @ reference.weights[name]) < 0 else 1.0
-        for name in fit.constructs
-    }
+                try:
+                    corr[i] = _resampled_moments(data, wide.get(i, counts[i].astype(np.intp))).corr
+                except DataError as exc:
+                    failures[i] = str(exc)
+        yield corr, failures
 
 
 def _stats(estimate: float, reps: np.ndarray, level: float) -> CoefficientStats:
@@ -223,54 +220,52 @@ def bootstrap(
 
     fit0 = fit_pls(data, spec, tol=tol, max_iter=max_iter)
     if not fit0.converged:
-        raise EstimationError(
-            f"weights did not converge within {max_iter} iterations"
-        )
-    cyc0: CyclicFit | None = None
-    if spec.cyclic is not None:
-        cyc0 = estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
+        raise EstimationError(f"weights did not converge within {max_iter} iterations")
+    cyc0 = spec.cyclic and estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
 
     # one row per coefficient: paths, loadings block by block, cyclic paths
-    loading_keys = [
-        (name, col)
-        for name in fit0.constructs
-        for col in data.columns[slice(*data.block_index[name])]
-    ]
+    names = fit0.constructs
+    loading_keys = [(name, col) for name in names
+                    for col in data.columns[slice(*data.block_index[name])]]
     cyclic0 = cyc0.cyclic_paths if cyc0 is not None else {}
     keys = [*fit0.paths, *loading_keys, *cyclic0]
     estimates = [*fit0.paths.values(), *np.concatenate([*fit0.loadings.values()]), *cyclic0.values()]
-    reps = np.empty((len(keys), b))
-    ok = 0
 
-    reasons: Counter[str] = Counter()
-    last_failure = ""
-    for rep_data in _replicate_moments(data, seed, b):
-        try:
-            if not isinstance(rep_data, Moments):
-                rep_data = _resampled_moments(data, rep_data)
-            rep_fit = fit_pls(rep_data, spec, tol=tol, max_iter=max_iter)
-            if not rep_fit.converged:
-                raise EstimationError("replicate weights did not converge")
-            rep_cyc = None
-            if cyc0 is not None:
-                rep_cyc = estimate_cyclic(rep_data, rep_fit, spec, tol=tol, max_iter=max_iter)
-        except (DataError, EstimationError, np.linalg.LinAlgError) as exc:
-            last_failure = str(exc)
-            reasons[re.split(r":| in ", last_failure, maxsplit=1)[0]] += 1  # leading clause
-            continue
-        sign = _signs(rep_fit, fit0)
-        column = [rep_fit.paths[s, t] * sign[s] * sign[t] for s, t in fit0.paths]
-        column += [lam * sign[name] for name in fit0.constructs for lam in rep_fit.loadings[name]]
-        if rep_cyc is not None:
+    # one alignment sign per block of the fit, then of step 2; member[j, i] is 1
+    # when weight column j belongs to block i
+    fits = [fit0] if cyc0 is None else [fit0, cyc0.step2_fit]
+    reference = [w for fit in fits for w in fit.weights.values()]
+    member = np.eye(len(reference))[np.repeat(np.arange(len(reference)), list(map(len, reference)))]
+    reference = np.concatenate(reference)
+    sources = np.array([names.index(s) for s, _ in fit0.paths], int)
+    targets = np.array([names.index(t) for _, t in fit0.paths], int)
+    source = names.index(spec.cyclic.source) if cyc0 is not None else None
+    chunks, reasons, last_failure = [], Counter(), ""
+    for corr, failures in _replicate_moments(data, seed, b):
+        weights, loadings, paths, _, _, done = _fit_stack(corr, spec, data.block_index, tol,
+                                                          max_iter, failures)
+        failures[:] = [f or (None if d else "replicate weights did not converge")
+                       for f, d in zip(failures, done)]
+        if cyc0 is not None:
+            source_weights = weights[:, member[: len(loading_keys), source] == 1]
+            (weights2, _, paths2, *_), _ = _fit_step2(corr, source_weights, data.block_index,
+                                                      cyc0.step2_spec, tol, max_iter, failures)
+            weights = np.hstack([weights, weights2])
+        # -1.0 for each block whose weights point away from the reference's
+        sign = np.where((weights * reference) @ member < 0, -1.0, 1.0)
+        column = [paths[:, targets, sources] * sign[:, sources] * sign[:, targets]]
+        column.append(loadings * (sign @ member.T)[:, : len(loading_keys)])
+        if cyc0 is not None:
             # step 2 ran on the unaligned fit: its single-item source makes it
             # exactly sign-equivariant there (negation is exact), so a flipped
             # source leaves the target weights bitwise the same and negates each
             # path; the aligned path is the raw one times the source's step-1
             # sign and the target's step-2 sign
-            sign2 = _signs(rep_cyc.step2_fit, cyc0.step2_fit)
-            column += [v * sign[s] * sign2[t] for (s, t), v in rep_cyc.cyclic_paths.items()]
-        reps[:, ok] = column
-        ok += 1
+            column.append(paths2[:, 1:, 0] * sign[:, [source]] * sign[:, len(names) + 1:])
+        chunks.append(np.hstack(column)[[failure is None for failure in failures]].T)
+        # a failure's reason is the leading clause of its message
+        reasons.update(re.split(r":| in ", f, maxsplit=1)[0] for f in failures if f)
+        last_failure = next((f for f in reversed(failures) if f), last_failure)
 
     failures = reasons.total()
     if failures > MAX_FAILURE_RATE * b:
@@ -280,11 +275,12 @@ def bootstrap(
             f"failures: {tally}; last failure: {last_failure}"
         )
 
-    stats = [_stats(e, r, level) for e, r in zip(estimates, reps[:, :ok])]
+    reps = np.hstack(chunks)
+    stats = [_stats(e, r, level) for e, r in zip(estimates, reps)]
     a, c = len(fit0.paths), len(fit0.paths) + len(loading_keys)
     return BootstrapResult(
         b_requested=b,
-        b_effective=ok,
+        b_effective=reps.shape[1],
         failures=failures,
         level=level,
         seed=seed,

@@ -475,7 +475,7 @@ def test_no_helper_outlives_the_run(tmp_path, capsys, monkeypatch, forks, ending
     model, data = triangle_files(tmp_path, cyclic_model())
     argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]
     if ending == "BaseException":
-        monkeypatch.setattr(cli, "_fit_or_fail", interrupt)  # the first call after the fork
+        monkeypatch.setattr(cli, "fit_pls", interrupt)  # the first call after the fork
         with pytest.raises(Interrupt):
             main(argv)
     else:

@@ -156,9 +156,11 @@ NUMBER = st.one_of(
 
 
 def cells(width):
-    """Padded numbers and missing cells; in one column an empty cell is a blank line."""
+    """Padded numbers and missing cells, blank ones too; in one column an empty cell is a
+    blank line."""
     padded = st.tuples(st.sampled_from(["", " ", "\t"]), NUMBER).map(lambda t: t[0] + t[1] + t[0])
-    return st.one_of(padded, st.sampled_from(["NA", " NA "] + ([""] if width > 1 else [])))
+    missing = ["NA", " NA ", " ", "\t "] + ([""] if width > 1 else [])
+    return st.one_of(padded, st.sampled_from(missing))
 
 
 @given(
@@ -201,6 +203,10 @@ def test_missing_cells_take_the_vectorized_parse_and_bad_cells_the_row_reader(
     values = load_table(missing).values
     assert values[0, 0] == 1.0 and values[1, 1] == -4.0
     assert np.isnan(values[0, 1]) and np.isnan(values[1, 0])
+    # a cell of spaces or tabs is missing to both parses
+    blank = write(tmp_path, "a,b,c\n1, ,2\n3,\t,4\n \t,5,\t \n", name="blank.csv")
+    assert load_table(blank).values.tobytes() == rows(blank).values.tobytes()
+    assert np.isnan(load_table(blank).values).sum() == 4
     assert calls == []
     bad = [write(tmp_path, f"a,b\n1,NA\n{cell},4\n", name=f"{cell}.csv")
            for cell in ("nan", "inf", "1NA")]

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import data_space_oracle as oracle
 from plscycle import (
     DataError,
+    cyclic,
     EstimationError,
     assess,
     bootstrap,
@@ -191,18 +192,27 @@ def test_bootstrap_replicates_in_small_chunks_match_data_space_reference(monkeyp
     check_bootstrap_matches_reference(small_budgets(monkeypatch))
 
 
+def recorded_stacks(monkeypatch, module):
+    """The (corr, result) of every ``_fit_stack`` call made through ``module``."""
+    calls = []
+    real = module._fit_stack
+
+    def wrapper(corr, *args):
+        calls.append((corr, real(corr, *args)))
+        return calls[-1][1]
+    monkeypatch.setattr(module, "_fit_stack", wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_bootstrap_matches_data_space_reference_where_the_source_flips(scheme, monkeypatch):
-    fits = []
-    real = resample.fit_pls
-    monkeypatch.setattr(
-        resample, "fit_pls", lambda *args, **kwargs: fits.append(real(*args, **kwargs)) or fits[-1]
-    )
+    stacks = recorded_stacks(monkeypatch, resample)
     spec = parse_model({**WEAK_MODEL, "scheme": scheme})
     data = cyclic_data(spec, n=60, iu_loadings=WEAK_LOADINGS)
     boot = bootstrap(data, spec, b=100, seed=3)
-    point = fits[0].weights["IU"]
-    assert any(fit.weights["IU"] @ point < 0 for fit in fits[1:])
+    point = fit_pls(data, spec).weights["IU"]
+    (_, (weights, *_)), = stacks
+    assert np.any(weights[:, -len(point):] @ point < 0)  # IU is the last block
     assert_replicates_match_reference(boot, data, spec, seed=3)
 
 
@@ -256,10 +266,13 @@ def test_bootstrap_refits_its_point_estimates_on_the_data_and_replicates_on_mome
 
     for name in ("fit_pls", "estimate_cyclic"):
         monkeypatch.setattr(resample, name, recorded(getattr(resample, name)))
+    step1, step2 = recorded_stacks(monkeypatch, resample), recorded_stacks(monkeypatch, cyclic)
     spec = parse_model(CYCLIC_MODEL)
     bootstrap(cyclic_data(spec), spec, b=100, seed=2)
-    assert len(inputs) == 2 * 101
-    assert inputs == [PreparedData] * 2 + [Moments] * (2 * 100)
+    assert inputs == [PreparedData] * 2
+    # the replicates reach the core as one stack of R: 11 columns, and the step-1 score
+    assert [corr.shape for corr, _ in step1] == [(100, 11, 11)]
+    assert [corr.shape for corr, _ in step2] == [(1, 12, 12), (100, 12, 12)]
 
 
 class GramCounter(np.ndarray):
@@ -302,12 +315,19 @@ def exact_moments(data, seed, r):
 def batched_moments(data, seed, b):
     """Each replicate's correlation matrix as ``bootstrap`` obtains it, or its DataError."""
     out = []
-    for rep in resample._replicate_moments(data, seed, b):
-        try:
-            out.append((rep if isinstance(rep, Moments) else resample._resampled_moments(data, rep)).corr)
-        except DataError as exc:
-            out.append(exc)
+    for corr, failures in resample._replicate_moments(data, seed, b):
+        out += [DataError(failure) if failure else r for r, failure in zip(corr, failures)]
     return out
+
+
+def exact_path_counts(monkeypatch):
+    """The counts of every replicate that goes to ``_resampled_moments``."""
+    calls = []
+    real = resample._resampled_moments
+    monkeypatch.setattr(
+        resample, "_resampled_moments", lambda data, counts: calls.append(counts) or real(data, counts)
+    )
+    return calls
 
 
 def assert_same_moments(data, seed, b, tol=1e-13):
@@ -332,8 +352,11 @@ def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=n)
     set_budgets(monkeypatch, data, chunk, rows)
-    reps = list(resample._replicate_moments(data, seed=3, b=100))
-    assert all(isinstance(rep, Moments) for rep in reps)
+    exact = exact_path_counts(monkeypatch)
+    chunks = list(resample._replicate_moments(data, seed=3, b=100))
+    lengths = [min(chunk, 100 - start) for start in range(0, 100, chunk)]
+    assert [len(corr) for corr, _ in chunks] == lengths
+    assert exact == [] and all(failures == [None] * len(corr) for corr, failures in chunks)
     assert_same_moments(data, seed=3, b=100)
 
 
@@ -366,9 +389,14 @@ def test_row_drawn_past_uint8_takes_the_exact_path(stubbed_draws, monkeypatch):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=4, rows=64)
-    reps = list(resample._replicate_moments(data, seed=2, b=12))
-    assert [isinstance(rep, Moments) for rep in reps] == [r not in (5, 6) for r in range(12)]
-    assert reps[5].max() >= 300 and reps[6].max() == 1000
+    exact = exact_path_counts(monkeypatch)
+    chunks = list(resample._replicate_moments(data, seed=2, b=12))
+    drawn = [np.bincount(StubbedDraw(2, r).integers(0, 1000, size=1000), minlength=1000)
+             for r in (5, 6)]
+    assert [counts.tolist() for counts in exact] == [counts.tolist() for counts in drawn]
+    assert exact[0].max() >= 300 and exact[1].max() == 1000
+    failures = [failure for _, chunk in chunks for failure in chunk]
+    assert failures == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     assert_same_moments(data, seed=2, b=12)
     assert isinstance(batched_moments(data, seed=2, b=12)[6], DataError)
 
@@ -388,7 +416,8 @@ def test_stubbed_heavy_and_degenerate_replicates_match_data_space_reference(stub
 
 
 def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeypatch):
-    # a benchmark traces replicate fits by replacing these module attributes
+    # one stacked step-1 fit and one stacked step 2 per chunk of replicates;
+    # the point estimates go through the module's fit_pls and estimate_cyclic
     calls = {"fit_pls": 0, "estimate_cyclic": 0}
 
     def counted(name):
@@ -401,10 +430,15 @@ def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeyp
 
     for name in calls:
         monkeypatch.setattr(resample, name, counted(name))
+    step1, step2 = recorded_stacks(monkeypatch, resample), recorded_stacks(monkeypatch, cyclic)
     spec = parse_model(CYCLIC_MODEL)
-    boot = bootstrap(cyclic_data(spec, n=1000), spec, b=100, seed=2)
+    data = cyclic_data(spec, n=1000)
+    set_budgets(monkeypatch, data, chunk=40, rows=64)
+    boot = bootstrap(data, spec, b=100, seed=2)
     assert boot.b_effective == 99
-    assert calls == {"fit_pls": 1 + 99, "estimate_cyclic": 1 + 99}
+    assert calls == {"fit_pls": 1, "estimate_cyclic": 1}
+    assert [len(corr) for corr, _ in step1] == [40, 40, 20]
+    assert [len(corr) for corr, _ in step2] == [1, 40, 40, 20]
 
 
 def reference_failures(data, spec, **kwargs):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plscycle import EstimationError, Moments, fit_pls, parse_model, plscore, prepare_blocks
+from plscycle.modelspec import SCHEMES
 from plscycle.simgen import PopulationSpec, ConstructPopulation, gen_acyclic
 
 from conftest import exact_correlation_sample, make_prepared
@@ -329,12 +332,15 @@ def _solve_ols_always_cond(corr, pred, target, label):
     return np.linalg.solve(a, corr[pred, target])
 
 
-def _solve_each_system(corr, groups, names):
+def _solve_each_system(corr, groups):
     """The grouped solver as a per-system loop over the reference solver."""
-    return [
-        np.array([oracle._solve_ols(corr, list(p), int(t), names[t]) for t, p in zip(targets, preds)])
-        for targets, preds in groups
-    ]
+    m, k = corr.shape[:2]
+    b = np.zeros((m, k, k))
+    for j in range(m):
+        for targets, preds in groups:
+            for t, p in zip(targets, preds):
+                b[j, t, p] = oracle._solve_ols(corr[j], list(p), int(t), f"C{t}")
+    return b, np.zeros((m, k), bool)
 
 
 def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
@@ -397,19 +403,22 @@ def test_zero_one_by_one_system_still_raises(monkeypatch):
     with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
         _solve_ols_always_cond(corr, [0], 1, "Y")
     monkeypatch.setattr(np.linalg, "cond", None)  # a 1x1 system never reaches the SVD
-    for solve in (oracle._solve_ols, lambda c, *_: plscore._solve_groups(c, groups, ("X", "Y"))):
-        with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
-            solve(corr, [0], 1, "Y")
+    with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
+        oracle._solve_ols(corr, [0], 1, "Y")
+    assert plscore._solve_groups(corr[None], groups)[1].tolist() == [[False, True]]
     # a tiny nonzero entry has condition number 1: singular to no solver
     tiny = np.array([[5e-324, 0.5], [0.5, 1.0]])
-    assert plscore._solve_groups(tiny, groups, ("X", "Y"))[0].tolist() == [[np.inf]]
+    b, singular = plscore._solve_groups(tiny[None], groups)
+    assert b[0, 1].tolist() == [np.inf, 0.0] and not singular.any()
     assert oracle._solve_ols(tiny, [0], 1, "Y").tolist() == [np.inf]
     monkeypatch.undo()
     assert _solve_ols_always_cond(tiny, [0], 1, "Y").tolist() == [np.inf]
 
 
 @pytest.mark.parametrize("scheme", ["path", "centroid"])
-def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(scheme):
+def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(
+    scheme, monkeypatch
+):
     # Y3 (three predecessors) is declared before Y2 (two); both regress on the
     # identical P1 and P2, and the two-predecessor group is solved first. The
     # path scheme raises in the inner weights, the centroid scheme in the paths.
@@ -435,7 +444,94 @@ def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(
         ]
     )
     data = Moments(r, {name: (i, i + 1) for i, name in enumerate(names)}, tuple(n.lower() for n in names))
-    groups = plscore._layout(spec, tuple(data.block_index[name] for name in names))[3]
-    assert [targets.tolist() for targets, _ in groups] == [[4], [3]]
+    solved = []
+    real = plscore._solve_groups
+    monkeypatch.setattr(
+        plscore, "_solve_groups", lambda c, groups: solved.append(groups) or real(c, groups)
+    )
     with pytest.raises(EstimationError, match="collinear predecessors of 'Y3'"):
         fit_pls(data, spec)
+    assert [targets.tolist() for targets, _ in solved[0]] == [[4], [3]]
+
+
+STACK_NAMES = ("A", "F", "X1", "X2", "Y")
+STACK_INDEX = {"A": (0, 2), "F": (2, 4), "X1": (4, 5), "X2": (5, 6), "Y": (6, 8)}
+STACK_COLUMNS = ("a1", "a2", "f1", "f2", "x1", "x2", "y1", "y2")
+STACK_KINDS = ("equal", "unequal", "formative", "collinear", "degenerate", "failed")
+
+
+def stack_spec(scheme):
+    modes = {"F": "formative", "X1": "single-item", "X2": "single-item"}
+    return parse_model({
+        "blocks": [
+            {"name": name, "mode": modes.get(name, "reflective"),
+             "indicators": list(STACK_COLUMNS[slice(*STACK_INDEX[name])])}
+            for name in STACK_NAMES
+        ],
+        "paths": [{"source": name, "target": "Y"} for name in STACK_NAMES[:-1]],
+        "scheme": scheme,
+    })
+
+
+def stack_member(kind, rng):
+    """One replicate's R: equal weights as the fixed point, a sample with unequal
+    loadings, or a sample with a singular formative block, collinear
+    predecessors or a block uncorrelated with the rest; NaN for a replicate
+    that failed before the fit."""
+    if kind == "failed":
+        return np.full((8, 8), np.nan)
+    if kind == "equal":  # one common factor with equal loadings
+        return np.full((8, 8), 0.49) + 0.51 * np.eye(8)
+    mixing = np.tril(rng.uniform(0.2, 0.6, (5, 5)), -1) + np.eye(5)
+    latent = rng.standard_normal((60, 5)) @ mixing.T
+    owner = [0, 0, 1, 1, 2, 3, 4, 4]
+    x = latent[:, owner] * rng.uniform(0.3, 0.95, 8) + 0.5 * rng.standard_normal((60, 8))
+    if kind == "formative":
+        x[:, 3] = x[:, 2]
+    elif kind == "collinear":
+        x[:, 5] = x[:, 4]
+    r = np.corrcoef(x, rowvar=False)
+    if kind == "degenerate":  # block A's proxy is zero under every scheme
+        r[:2, 2:] = r[2:, :2] = 0.0
+    return r
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(
+    st.permutations(STACK_KINDS * 2),
+    st.sampled_from(SCHEMES),
+    st.sampled_from([2, 3, 300]),
+    st.integers(0, 2**32 - 1),
+)
+def test_each_replicate_of_a_mixed_stack_fits_as_it_does_alone(kinds, scheme, max_iter, seed):
+    spec, rng = stack_spec(scheme), np.random.default_rng(seed)
+    corr = np.stack([stack_member(kind, rng) for kind in kinds])
+    failures = ["zero variance in a resampled column" if k == "failed" else None for k in kinds]
+    weights, loadings, b, r_squared, iterations, converged = plscore._fit_stack(
+        corr, spec, STACK_INDEX, 1e-6, max_iter, failures)
+    outcomes = set()
+    for j, kind in enumerate(kinds):
+        if kind == "failed":
+            assert failures[j] == "zero variance in a resampled column" and not converged[j]
+            continue
+        try:
+            alone = fit_pls(Moments(corr[j], STACK_INDEX, STACK_COLUMNS), spec, max_iter=max_iter)
+        except EstimationError as exc:
+            assert failures[j] == str(exc) and not converged[j]
+            outcomes.add(str(exc))
+            continue
+        assert failures[j] is None
+        assert (iterations[j], converged[j]) == (alone.iterations, alone.converged)
+        outcomes.add("converged" if alone.converged else "not converged")
+        assert np.abs(weights[j] - np.concatenate(list(alone.weights.values()))).max() <= 1e-12
+        assert np.abs(loadings[j] - np.concatenate(list(alone.loadings.values()))).max() <= 1e-12
+        for (s, t), value in alone.paths.items():
+            assert abs(b[j, STACK_NAMES.index(t), STACK_NAMES.index(s)] - value) <= 1e-12
+        assert abs(r_squared[j, -1] - alone.r_squared["Y"]) <= 1e-12
+    assert {
+        "converged",
+        "singular system in formative block 'F'",
+        "singular system: collinear predecessors of 'Y'",
+        "degenerate score variance in block 'A'",
+    } <= outcomes
+    assert ("not converged" in outcomes) == (max_iter < 300)
