@@ -17,7 +17,7 @@ import signal
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -350,46 +350,189 @@ def _load_rows(path: str) -> RawTable:
     return RawTable(header=header, values=np.asarray(rows, dtype=np.float64))
 
 
-def _csv_body(values: np.ndarray) -> Iterator[str]:
-    """Rows as ``csv.writer`` writes them, a string a row, ``NA`` for a missing cell.
+# ``_csv_body`` formats this many cells at a time
+_BLOCK_CELLS = 1 << 14
+# a float decision nearer than this to a boundary goes to repr: the float
+# error of the values compared is below 2^-48
+_EXACT_MARGIN = 2.0**-36
 
-    A finite float's str is its repr, which never needs quoting and never
-    holds ``nan``; a body without NaN is not searched for one.
+
+# The encoder's tables are built on first use, so that importing the module
+# (the ``cyclic`` process does) costs neither their time nor their memory.
+@cache
+def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10^s for s <= 20, each an exact double, and Dekker's split of it into 26-bit halves."""
+    power = 10.0 ** np.arange(21)
+    split = power * 134217729.0
+    high = split - (split - power)
+    return power, high, power - high
+
+
+@cache
+def _glyphs() -> tuple[np.ndarray, np.ndarray]:
+    """The four ASCII digits of 0..9999 as one uint32 each; where each digit goes.
+
+    Row k, column 17 s + j of the layout: where digit k of c goes, after the
+    sign, at scale s with j trailing zeros. That is the digit's integer or
+    fraction place or, for a trailing zero, the separator's place, which is
+    written last.
     """
-    rows = (",".join(map(repr, row.tolist())) + "\n" for row in values)
-    if np.isnan(values).any():
-        return (row.replace("nan", "NA") for row in rows)
-    return rows
+    table = np.empty((10, 10, 10, 10, 4), np.uint8)
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    for place in range(4):
+        table[..., place] = digit.reshape((10,) + (1,) * (3 - place))
+    k, s, j = np.ogrid[:17, :21, :17]
+    place = np.maximum(s, 16) - 16 + k + (k > 16 - s)
+    separator = np.maximum(17 - s, 1) + 1 + np.maximum(s - j, 1)
+    layout = np.where(k < 17 - j, place, separator).reshape(17, -1)
+    return table.view(np.uint32).reshape(-1), layout
+
+
+def _shortest_digits(x: np.ndarray):
+    """Shortest round-trip digits of each cell, where they can be told exactly.
+
+    Returns ``(c, s, j, ok)``: where ``ok``, ``repr(abs(x))`` is the decimal
+    ``c / 10**s`` written in positional notation, with ``10**16 <= c < 10**17``
+    and exactly ``j`` trailing zeros in ``c``. N = |x|·10^s is held exactly as
+    an int64 part and a fraction (Dekker's TwoProduct; 10^s and its halves are
+    exact doubles for s <= 20), the rounding interval as N ± half an ulp,
+    scaled the same way (the lower half halved at a power of two). The digits
+    are the multiple of 10^j nearest N for the largest j that puts a multiple
+    inside the interval (Ryu's rule; repr's shortest string). A cell is not
+    ``ok``, and needs repr itself, if it is zero, NaN, below 1e-4 or from 1e16
+    on (repr turns scientific there), or if a decision falls within 2^-36 of
+    an interval end, of a tie or of the 1e16/1e17 scaling edges. So an
+    inclusive or exclusive interval end never decides a cell.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 16 - np.floor(np.log10(a))
+    ok = (s >= 1) & (s <= 20)
+    s = np.where(ok, s, 16).astype(np.intp)
+    a = np.where(ok, a, 1.0)
+    power, power_hi, power_lo = _powers_of_ten()
+    scale = power[s]
+    top = a * scale
+    a_hi = a * 134217729.0  # 2^27 + 1 splits a into two 26-bit halves
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    p_hi, p_lo = power_hi[s], power_lo[s]
+    error = ((a_hi * p_hi - top) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    floor = np.floor(error)
+    frac = error - floor  # N = whole + frac, 0 <= frac < 1
+    whole = top.astype(np.int64) + floor.astype(np.int64)
+    ok &= whole >= 10**16
+    above = np.spacing(a) * 0.5 * scale
+    below = np.where(a.view(np.int64) & ((1 << 52) - 1), above, 0.5 * above)  # 2^e: halved
+    low, high = frac - below, frac + above
+    ok &= (np.abs(low - np.rint(low)) >= _EXACT_MARGIN) & (np.abs(high - np.rint(high)) >= _EXACT_MARGIN)
+    low = whole + np.ceil(low).astype(np.int64)  # the interval's integers
+    high = whole + np.floor(high).astype(np.int64)
+    # j = 0: the integer nearest N, inside since each side is longer than 0.55
+    j = np.zeros(len(x), np.int64)
+    c = whole + (frac > 0.5)
+    tie = np.abs(frac - 0.5) < _EXACT_MARGIN
+    # j = 1: the nearer of the multiples of ten below and above N inside
+    at = np.flatnonzero(high - high % 10 >= low)
+    j[at] = 1
+    n, lo, hi = whole[at], low[at], high[at]
+    down = n - n % 10
+    skew = 2 * (n - down) - 10 + 2 * frac[at]  # (N - down) - (down + 10 - N)
+    both = (down >= lo) & (down + 10 <= hi)
+    c[at] = np.where((down < lo) | (both & (skew > 0)), down + 10, down)
+    tie[at] = both & (np.abs(skew) < _EXACT_MARGIN)
+    # j >= 2: the interval (narrower than 23) holds one multiple of 10^j
+    for k in range(2, 17):
+        step = 10**k
+        multiple = high[at] // step * step
+        inside = multiple >= low[at]
+        at = at[inside]
+        if not len(at):
+            break
+        j[at], c[at], tie[at] = k, multiple[inside], False
+    ok &= ~tie & (c < 10**17)
+    return c, s, j, ok
+
+
+def _csv_body(values: np.ndarray) -> Iterator[bytes]:
+    """Rows as ``csv.writer`` writes them, ``NA`` for a missing cell, in blocks.
+
+    Each cell is ``repr(float(x))``: the finite float64 cells that
+    ``_shortest_digits`` decides are written from their digits, the rest by
+    ``repr``. A finite repr never needs quoting. Blocks hold ``_BLOCK_CELLS``
+    cells each, at most 25 bytes a cell.
+    """
+    width = values.shape[1]
+    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
+    for first in range(0, len(flat), _BLOCK_CELLS):
+        yield _encode_block(flat[first : first + _BLOCK_CELLS], (width - 1 - first) % width, width)
+
+
+def _encode_block(x: np.ndarray, row_end: int, width: int) -> bytes:
+    """The text of cells ``x``; cell ``row_end`` and every ``width``-th after end a row."""
+    c, s, j, ok = _shortest_digits(x)
+    sign = np.signbit(x) & ok
+    int_len = np.maximum(17 - s, 1)
+    length = sign + int_len + 2 + np.maximum(s - j, 1)  # "-", integer part, ".", fraction, ","
+    nan = np.isnan(x)
+    length[nan] = 3
+    slow = np.flatnonzero(~ok & ~nan)
+    texts = [repr(v).encode() for v in x[slow].tolist()]
+    length[slow] = [len(text) + 1 for text in texts]
+    end = np.cumsum(length)
+    start = end - length
+    out = np.full(end[-1], ord("0"), np.uint8)  # zeros a layout leaves out are written
+    fast = np.flatnonzero(ok)
+    digits = c[fast]
+    groups = np.empty((len(fast), 5), np.int64)  # digit 1, then four groups of four
+    groups[:, 0] = digits // 10**16
+    digits -= groups[:, 0] * 10**16
+    for g, power in enumerate((10**12, 10**8, 10**4, 1), start=1):
+        groups[:, g] = digits // power % 10**4
+    four_digits, layout = _glyphs()
+    text = four_digits[groups].view(np.uint8)[:, 3:]
+    at, column = start[fast] + sign[fast], s[fast] * 17 + j[fast]
+    for k in range(17):
+        out[at + layout[k][column]] = text[:, k]
+    out[at + int_len[fast]] = ord(".")
+    out[start[sign]] = ord("-")
+    out[start[nan]], out[start[nan] + 1] = ord("N"), ord("A")
+    if texts:
+        size = length[slow] - 1
+        joined = np.frombuffer(b"".join(texts), np.uint8)
+        out[np.repeat(start[slow] - np.cumsum(size) + size, size) + np.arange(len(joined))] = joined
+    out[end - 1] = ord(",")
+    out[end[row_end::width] - 1] = ord("\n")
+    return out.tobytes()
 
 
 def write_table(path: str, table: RawTable) -> None:
     """Write ``table`` as the comma-separated UTF-8 text ``load_table`` reads.
 
-    Values are written as ``repr`` gives them, so they read back exactly, and
-    a NaN (missing) cell as ``NA``; an infinite value raises ValueError before
-    the file is opened. The header goes through ``csv.writer``. A forked child
+    Values are written as float64, each as ``repr`` gives it, so they read
+    back exactly (an integer-typed table writes ``1.0`` for ``1``), and a NaN
+    (missing) cell as ``NA``; an infinite value raises ValueError before the
+    file is opened. The header goes through ``csv.writer``. A forked child
     formats the back half of a large body while this process writes the front
     half; the child's half reaches the file only once all of it has arrived,
     and if the child fails or answers short, the back half is formatted here.
     """
-    values = table.values
+    values = np.ascontiguousarray(table.values, dtype=np.float64)
     if np.isinf(values).any():
         raise ValueError("an infinite value cannot be written: load_table rejects it")
     half = len(values) // 2
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
+        handle.flush()
         with _forked(
-            lambda _: "".join(_csv_body(values[half:])).encode("utf-8"), values.nbytes >= _FORK_BYTES
+            lambda _: b"".join(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES
         ) as pipe:
-            handle.writelines(_csv_body(values if pipe is None else values[:half]))
+            handle.buffer.writelines(_csv_body(values if pipe is None else values[:half]))
             if pipe is not None:
                 size = _payload_size(pipe)
                 back = pipe.read(size or 0)
-                if len(back) != size:  # size is None if the child failed; short if it died
-                    handle.writelines(_csv_body(values[half:]))
-                else:
-                    handle.flush()
-                    handle.buffer.write(back)
+                # size is None if the child failed; short if it died
+                handle.buffer.writelines([back] if len(back) == size else _csv_body(values[half:]))
 
 
 def standardize_column(x: np.ndarray, name: str = "") -> np.ndarray:

@@ -15,7 +15,7 @@ import plscycle
 from plscycle import __version__, cli, dataset
 from plscycle.cli import main
 from plscycle.cyclic import DIRECTIONS, reinforcement_tests
-from plscycle.dataset import RawTable
+from plscycle.dataset import RawTable, load_table
 from plscycle.errors import EstimationError
 
 from conftest import exact_correlation_sample, in_child_only
@@ -374,6 +374,13 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     assert main(["simulate", "--population", pop, "--out", str(serial)]) == 0
     assert forks == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    formatted, real_body = [], dataset._csv_body
+
+    def recorded(values):  # in the parent, where it is all that formats
+        formatted.append(values.copy())
+        return real_body(values)
+
+    monkeypatch.setattr(dataset, "_csv_body", recorded)
     if failure == "child raises":
         in_child_only(monkeypatch, dataset, "_csv_body", fail_in_child)
     else:
@@ -384,6 +391,9 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     capsys.readouterr()
     assert len(forks) == 1
     assert out.read_bytes() == serial.read_bytes()
+    # the parent formatted the front half, then, the child having failed, the back half
+    assert [len(half) for half in formatted] == [2500, 2500]
+    assert np.concatenate(formatted).tobytes() == load_table(str(serial)).values.tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)
 

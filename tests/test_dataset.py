@@ -293,6 +293,88 @@ def test_write_table_rejects_an_infinite_value_before_writing(tmp_path, forks, i
     assert forks == []
 
 
+def csv_rows(values: np.ndarray) -> bytes:
+    """The reference body: each row's cells through ``repr``, NaN as ``NA``."""
+    rows = (",".join(map(repr, row.tolist())) + "\n" for row in values)
+    return "".join(rows).replace("nan", "NA").encode()
+
+
+def repr_corpus() -> np.ndarray:
+    """Cells at the edges of the encoder's fast path, both signs."""
+    cells = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    cells += [9999999999999998.0, 1e16, np.nextafter(1e-4, 0), np.nan]
+    cells += [0.5, 0.125, 2.5, 0.375, 1.5, 12.5, 0.1, 1 / 3, 2 / 3]
+    cells += [2.0**53 + step for step in range(-4, 5)]  # integers near 2^53
+    for x in [10.0**e for e in range(-5, 18)] + [2.0**e for e in range(-20, 57)]:
+        cells += [np.nextafter(x, 0), x, np.nextafter(x, np.inf)]
+    cells = np.array(cells)
+    return np.concatenate([cells, -cells])
+
+
+FINITE_BITS = st.integers(0, 2**64 - 1).filter(lambda bits: bits >> 52 & 0x7FF != 0x7FF)
+SHAPES = st.tuples(st.integers(0, 6), st.integers(1, 5))
+
+
+@given(
+    st.one_of(
+        arrays(np.float64, SHAPES, elements=st.floats(allow_infinity=False)),
+        arrays(np.uint64, SHAPES, elements=FINITE_BITS).map(lambda bits: bits.view(np.float64)),
+    )
+)
+def test_csv_body_is_the_repr_of_every_cell(values):
+    assert b"".join(dataset._csv_body(values)) == csv_rows(values)
+
+
+def test_csv_body_is_the_repr_of_uniform_bits_where_repr_is_positional():
+    rng = np.random.default_rng(20)
+    n = 60_000
+    exponent = rng.integers(1023 - 14, 1023 + 54, n, dtype=np.uint64)  # 2^-14 to 2^53
+    sign = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    bits = sign | exponent << np.uint64(52) | rng.integers(0, 2**52, n, dtype=np.uint64)
+    values = bits.view(np.float64).reshape(-1, 6)
+    assert b"".join(dataset._csv_body(values)) == csv_rows(values)
+
+
+def test_csv_body_is_the_repr_of_awkward_cells():
+    cells = repr_corpus()
+    for values in (cells[:, None], cells[: len(cells) // 7 * 7].reshape(-1, 7)):
+        assert b"".join(dataset._csv_body(values)) == csv_rows(values)
+
+
+@pytest.mark.parametrize("width", [1, 3])
+@pytest.mark.parametrize("rows", [0, 1, 2])
+def test_csv_body_of_a_short_table(rows, width):
+    values = np.resize(repr_corpus(), (rows, width))
+    assert b"".join(dataset._csv_body(values)) == csv_rows(values)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_csv_body_across_a_block_boundary(width, extra):
+    rows = dataset._BLOCK_CELLS // width + extra
+    values = np.random.default_rng(width).standard_normal((rows, width))
+    cells = values.reshape(-1)
+    cells[::50] = np.resize(repr_corpus(), cells[::50].size)
+    assert b"".join(dataset._csv_body(values)) == csv_rows(values)
+
+
+def test_csv_body_streams_blocks_of_at_most_a_mebibyte():
+    values = np.random.default_rng(7).standard_normal((30_000, 10))
+    values[::97, 3] = np.nan
+    values[::89, 5] *= 1e-7  # cells that go to repr
+    blocks = list(dataset._csv_body(values))
+    assert max(map(len, blocks)) <= 1 << 20
+    assert b"".join(blocks) == csv_rows(values)
+
+
+def test_an_integer_table_is_written_as_floats_and_reads_back_equal(tmp_path):
+    path = tmp_path / "data.csv"
+    values = np.array([[1, -2], [0, 2**53]], dtype=np.int64)
+    write_table(str(path), RawTable(("a", "b"), values))
+    assert path.read_text() == "a,b\n1.0,-2.0\n0.0,9007199254740992.0\n"
+    assert np.array_equal(load_table(str(path)).values, values)
+
+
 # six body rows: the front half is lines 2-4, the back half lines 5-7
 SPLIT_BODY = ["1,2", "3,4", "5,6", "7,8", "9,10", "11,12"]
 
