@@ -388,21 +388,22 @@ def _glyphs() -> tuple[np.ndarray, np.ndarray]:
     return table.view(np.uint32).reshape(-1), layout
 
 
-def _shortest_digits(x: np.ndarray):
+def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Shortest round-trip digits of each cell, where they can be told exactly.
 
     Returns ``(c, s, j, ok)``: where ``ok``, ``repr(abs(x))`` is the decimal
     ``c / 10**s`` written in positional notation, with ``10**16 <= c < 10**17``
     and exactly ``j`` trailing zeros in ``c``. N = |x|·10^s is held exactly as
-    an int64 part and a fraction (Dekker's TwoProduct; 10^s and its halves are
-    exact doubles for s <= 20), the rounding interval as N ± half an ulp,
-    scaled the same way (the lower half halved at a power of two). The digits
-    are the multiple of 10^j nearest N for the largest j that puts a multiple
-    inside the interval (Ryu's rule; repr's shortest string). A cell is not
-    ``ok``, and needs repr itself, if it is zero, NaN, below 1e-4 or from 1e16
-    on (repr turns scientific there), or if a decision falls within 2^-36 of
-    an interval end, of a tie or of the 1e16/1e17 scaling edges. So an
-    inclusive or exclusive interval end never decides a cell.
+    an int64 part and a fraction (Dekker's TwoProduct; 10^s and its 26-bit
+    halves are exact doubles for s <= 20), and the rounding interval as N ±
+    half an ulp, scaled the same way (the lower half halved at a power of
+    two). The digits are the multiple of 10^j nearest N for the largest j
+    that puts a multiple inside the interval (Ryu's rule, which is repr's
+    shortest string). A cell is not ``ok``, and needs repr itself, if it is
+    zero, NaN, below 1e-4 or from 1e16 on (repr writes an exponent there), if
+    log10 put N below 1e16 or its digits round up to 1e17, or if a decision
+    falls within 2^-36 of an interval end or of a tie. So whether an interval
+    end belongs to the interval never decides a cell.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -425,7 +426,8 @@ def _shortest_digits(x: np.ndarray):
     above = np.spacing(a) * 0.5 * scale
     below = np.where(a.view(np.int64) & ((1 << 52) - 1), above, 0.5 * above)  # 2^e: halved
     low, high = frac - below, frac + above
-    ok &= (np.abs(low - np.rint(low)) >= _EXACT_MARGIN) & (np.abs(high - np.rint(high)) >= _EXACT_MARGIN)
+    for end in (low, high):
+        ok &= np.abs(end - np.rint(end)) >= _EXACT_MARGIN
     low = whole + np.ceil(low).astype(np.int64)  # the interval's integers
     high = whole + np.floor(high).astype(np.int64)
     # j = 0: the integer nearest N, inside since each side is longer than 0.55
