@@ -357,25 +357,13 @@ _BLOCK_CELLS = 1 << 14
 _EXACT_MARGIN = 2.0**-36
 
 
-# The encoder's tables are built on first use, so that importing the module
-# (the ``cyclic`` process does) costs neither their time nor their memory.
-@cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """10^s for s <= 20, each an exact double, and Dekker's split of it into 26-bit halves."""
-    power = 10.0 ** np.arange(21)
-    split = power * 134217729.0
-    high = split - (split - power)
-    return power, high, power - high
-
-
-@cache
+@cache  # on first use: importing the module (``cyclic`` does) costs nothing
 def _glyphs() -> tuple[np.ndarray, np.ndarray]:
     """The four ASCII digits of 0..9999 as one uint32 each; where each digit goes.
 
-    Row k, column 17 s + j of the layout: where digit k of c goes, after the
-    sign, at scale s with j trailing zeros. That is the digit's integer or
-    fraction place or, for a trailing zero, the separator's place, which is
-    written last.
+    Layout row k, column 17 s + j: the place of digit k of c after the sign,
+    at scale s with j trailing zeros; a trailing zero goes to the separator's
+    place, which is written last.
     """
     table = np.empty((10, 10, 10, 10, 4), np.uint8)
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
@@ -394,16 +382,16 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     Returns ``(c, s, j, ok)``: where ``ok``, ``repr(abs(x))`` is the decimal
     ``c / 10**s`` written in positional notation, with ``10**16 <= c < 10**17``
     and exactly ``j`` trailing zeros in ``c``. N = |x|·10^s is held exactly as
-    an int64 part and a fraction (Dekker's TwoProduct; 10^s and its 26-bit
-    halves are exact doubles for s <= 20), and the rounding interval as N ±
-    half an ulp, scaled the same way (the lower half halved at a power of
-    two). The digits are the multiple of 10^j nearest N for the largest j
-    that puts a multiple inside the interval (Ryu's rule, which is repr's
-    shortest string). A cell is not ``ok``, and needs repr itself, if it is
-    zero, NaN, below 1e-4 or from 1e16 on (repr writes an exponent there), if
-    log10 put N below 1e16 or its digits round up to 1e17, or if a decision
-    falls within 2^-36 of an interval end or of a tie. So whether an interval
-    end belongs to the interval never decides a cell.
+    an int64 part and a fraction (Dekker's TwoProduct; 10^s is exact for
+    s <= 22), and the rounding interval as N ± half an ulp, scaled the same
+    way (the lower half halved at a power of two). The digits are the
+    multiple of 10^j nearest N for the largest j that puts a multiple inside
+    the interval (Ryu's rule, which is repr's shortest string). A cell is not
+    ``ok``, and needs repr itself, if it is zero, NaN, below 1e-4 or from 1e16
+    on (repr writes an exponent there), if log10 put N below 1e16 or its
+    digits round up to 1e17, or if a decision falls within 2^-36 of an
+    interval end or of a tie. So whether an interval end belongs to the
+    interval never decides a cell.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -411,13 +399,12 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     ok = (s >= 1) & (s <= 20)
     s = np.where(ok, s, 16).astype(np.intp)
     a = np.where(ok, a, 1.0)
-    power, power_hi, power_lo = _powers_of_ten()
-    scale = power[s]
-    top = a * scale
-    a_hi = a * 134217729.0  # 2^27 + 1 splits a into two 26-bit halves
+    power = 10.0 ** np.arange(21)
+    scale, top = power[s], a * power[s]
+    a_hi, p_hi = a * 134217729.0, scale * 134217729.0  # 2^27 + 1: 26-bit halves
     a_hi -= a_hi - a
-    a_lo = a - a_hi
-    p_hi, p_lo = power_hi[s], power_lo[s]
+    p_hi -= p_hi - scale
+    a_lo, p_lo = a - a_hi, scale - p_hi
     error = ((a_hi * p_hi - top) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
     floor = np.floor(error)
     frac = error - floor  # N = whole + frac, 0 <= frac < 1
@@ -430,29 +417,21 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
         ok &= np.abs(end - np.rint(end)) >= _EXACT_MARGIN
     low = whole + np.ceil(low).astype(np.int64)  # the interval's integers
     high = whole + np.floor(high).astype(np.int64)
-    # j = 0: the integer nearest N, inside since each side is longer than 0.55
-    j = np.zeros(len(x), np.int64)
-    c = whole + (frac > 0.5)
-    tie = np.abs(frac - 0.5) < _EXACT_MARGIN
-    # j = 1: the nearer of the multiples of ten below and above N inside
-    at = np.flatnonzero(high - high % 10 >= low)
-    j[at] = 1
-    n, lo, hi = whole[at], low[at], high[at]
-    down = n - n % 10
-    skew = 2 * (n - down) - 10 + 2 * frac[at]  # (N - down) - (down + 10 - N)
-    both = (down >= lo) & (down + 10 <= hi)
-    c[at] = np.where((down < lo) | (both & (skew > 0)), down + 10, down)
-    tie[at] = both & (np.abs(skew) < _EXACT_MARGIN)
-    # j >= 2: the interval (narrower than 23) holds one multiple of 10^j
-    for k in range(2, 17):
+    j = np.zeros(len(x), np.intp)
+    at = np.arange(len(x))
+    for k in range(1, 17):
         step = 10**k
-        multiple = high[at] // step * step
-        inside = multiple >= low[at]
-        at = at[inside]
+        at = at[high[at] // step * step >= low[at]]
         if not len(at):
             break
-        j[at], c[at], tie[at] = k, multiple[inside], False
-    ok &= ~tie & (c < 10**17)
+        j[at] = k
+    # the nearer of the multiples of 10^j just below and above N that is inside
+    step = 10 ** np.arange(17)[j]
+    down = whole // step * step
+    skew = 2 * (whole - down) - step + 2 * frac  # (N - down) - (down + step - N)
+    both = (down >= low) & (down + step <= high)
+    c = np.where((down < low) | (both & (skew > 0)), down + step, down)
+    ok &= ~(both & (np.abs(skew) < _EXACT_MARGIN)) & (c < 10**17)
     return c, s, j, ok
 
 
@@ -476,21 +455,15 @@ def _encode_block(x: np.ndarray, row_end: int, width: int) -> bytes:
     sign = np.signbit(x) & ok
     int_len = np.maximum(17 - s, 1)
     length = sign + int_len + 2 + np.maximum(s - j, 1)  # "-", integer part, ".", fraction, ","
-    nan = np.isnan(x)
-    length[nan] = 3
-    slow = np.flatnonzero(~ok & ~nan)
-    texts = [repr(v).encode() for v in x[slow].tolist()]
+    slow = np.flatnonzero(~ok)
+    texts = [b"NA" if v != v else repr(v).encode() for v in x[slow].tolist()]
     length[slow] = [len(text) + 1 for text in texts]
     end = np.cumsum(length)
     start = end - length
     out = np.full(end[-1], ord("0"), np.uint8)  # zeros a layout leaves out are written
     fast = np.flatnonzero(ok)
-    digits = c[fast]
-    groups = np.empty((len(fast), 5), np.int64)  # digit 1, then four groups of four
-    groups[:, 0] = digits // 10**16
-    digits -= groups[:, 0] * 10**16
-    for g, power in enumerate((10**12, 10**8, 10**4, 1), start=1):
-        groups[:, g] = digits // power % 10**4
+    powers = (10**16, 10**12, 10**8, 10**4, 1)  # digit 1, then four groups of four
+    groups = np.stack([c[fast] // power % 10**4 for power in powers], axis=1)
     four_digits, layout = _glyphs()
     text = four_digits[groups].view(np.uint8)[:, 3:]
     at, column = start[fast] + sign[fast], s[fast] * 17 + j[fast]
@@ -498,11 +471,9 @@ def _encode_block(x: np.ndarray, row_end: int, width: int) -> bytes:
         out[at + layout[k][column]] = text[:, k]
     out[at + int_len[fast]] = ord(".")
     out[start[sign]] = ord("-")
-    out[start[nan]], out[start[nan] + 1] = ord("N"), ord("A")
-    if texts:
-        size = length[slow] - 1
-        joined = np.frombuffer(b"".join(texts), np.uint8)
-        out[np.repeat(start[slow] - np.cumsum(size) + size, size) + np.arange(len(joined))] = joined
+    size = length[slow] - 1
+    joined = np.frombuffer(b"".join(texts), np.uint8)
+    out[np.repeat(start[slow] - np.cumsum(size) + size, size) + np.arange(len(joined))] = joined
     out[end - 1] = ord(",")
     out[end[row_end::width] - 1] = ord("\n")
     return out.tobytes()
