@@ -355,6 +355,8 @@ _BLOCK_CELLS = 1 << 14
 # a float decision nearer than this to a boundary goes to repr: the float
 # error of the values compared is below 2^-48
 _EXACT_MARGIN = 2.0**-36
+# 10^s for s <= 20, exact doubles converted from exact integers
+_POW10 = np.array([float(10**s) for s in range(21)])
 
 
 @cache  # on first use: importing the module (``cyclic`` does) costs nothing
@@ -399,8 +401,8 @@ def _shortest_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     ok = (s >= 1) & (s <= 20)
     s = np.where(ok, s, 16).astype(np.intp)
     a = np.where(ok, a, 1.0)
-    power = 10.0 ** np.arange(21)
-    scale, top = power[s], a * power[s]
+    scale = _POW10[s]
+    top = a * scale
     a_hi, p_hi = a * 134217729.0, scale * 134217729.0  # 2^27 + 1: 26-bit halves
     a_hi -= a_hi - a
     p_hi -= p_hi - scale
@@ -460,7 +462,7 @@ def _encode_block(x: np.ndarray, row_end: int, width: int) -> bytes:
     length[slow] = [len(text) + 1 for text in texts]
     end = np.cumsum(length)
     start = end - length
-    out = np.full(end[-1], ord("0"), np.uint8)  # zeros a layout leaves out are written
+    out = np.full(end[-1], ord("0"), np.uint8)  # every place no digit goes to is a zero
     fast = np.flatnonzero(ok)
     powers = (10**16, 10**12, 10**8, 10**4, 1)  # digit 1, then four groups of four
     groups = np.stack([c[fast] // power % 10**4 for power in powers], axis=1)
