@@ -194,9 +194,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)
         if args.bootstrap > 0:
             boot = bootstrap(
-                data, spec if cyclic else dataclasses.replace(spec, cyclic=None),
-                args.bootstrap, level=args.level, seed=args.seed,
-                tol=args.tol, max_iter=args.max_iter,
+                data, spec, args.bootstrap, level=args.level, seed=args.seed,
+                tol=args.tol, max_iter=args.max_iter, fit=fit, cyclic=cyc,
             )
         if cyclic:
             tests = reinforcement_tests(cyc, boot, data.n_effective, args.direction, helper)

@@ -302,15 +302,13 @@ def render_text(report: dict) -> str:
                     pair["beta_se"],
                     pair["beta_ce"],
                     pair["abs_diff"],
-                    pair.get("t", "-"),
-                    pair.get("p", "-"),
+                    pair["t"],
+                    pair["p"],
                 ]
             )
-            if "decision" in pair:
-                notes.append(
-                    f"{label}: {pair['decision']} "
-                    f"(direction {pair['direction']}, df {pair['df']})"
-                )
+            notes.append(
+                f"{label}: {pair['decision']} (direction {pair['direction']}, df {pair['df']})"
+            )
         if rows:
             out.extend(
                 _table(

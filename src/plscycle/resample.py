@@ -1,10 +1,10 @@
 """Bootstrap standard errors and percentile confidence intervals.
 
 Each replicate draws rows with replacement and re-runs the full pipeline on
-the resample's indicator correlation matrix: the PLS fit and, when the model
-has a cyclic section, both steps of the feedback estimator, each as one
-stacked fit of a chunk's replicates. A replicate's coefficients are recorded
-sign-aligned against the original sample, by one sign per block, preventing
+the resample's indicator correlation matrix: the PLS fit and, when given the
+point step-2 fit, both steps of the feedback estimator, each as one stacked
+fit of a chunk's replicates. A replicate's coefficients are recorded
+sign-aligned against the given point fits, by one sign per block, preventing
 the arbitrary orientation of composite scores from inflating the spread.
 Replicate r draws from a counter-based generator keyed by (seed, r), so
 results do not depend on execution order.
@@ -29,11 +29,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import _fit_step2, estimate_cyclic
-from .dataset import Moments, PreparedData
+from .cyclic import CyclicFit, _fit_step2
+from .dataset import PreparedData
 from .errors import DataError, EstimationError
 from .modelspec import ModelSpec
-from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, _fit_stack, fit_pls
+from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
 
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
@@ -114,7 +114,7 @@ def _replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _resampled_moments(data: PreparedData, counts: np.ndarray) -> Moments:
+def _resampled_moments(data: PreparedData, counts: np.ndarray) -> np.ndarray:
     """Correlation matrix of the rows drawn ``counts`` times each.
 
     Centring before squaring leaves a column that the draw made constant with
@@ -127,7 +127,7 @@ def _resampled_moments(data: PreparedData, counts: np.ndarray) -> Moments:
     std = np.sqrt(np.diag(cov))
     if np.any(std <= 1e-12):
         raise DataError("zero variance in a resampled column")
-    return Moments(cov / np.outer(std, std), data.block_index, data.columns)
+    return cov / np.outer(std, std)
 
 
 def _batched_correlations(data: PreparedData, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +178,7 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
-                    corr[i] = _resampled_moments(data, wide.get(i, counts[i].astype(np.intp))).corr
+                    corr[i] = _resampled_moments(data, wide.get(i, counts[i].astype(np.intp)))
                 except DataError as exc:
                     failures[i] = str(exc)
         yield corr, failures
@@ -203,11 +203,15 @@ def bootstrap(
     seed: int = 0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    *,
+    fit: PlsFit,
+    cyclic: CyclicFit | None = None,
 ) -> BootstrapResult:
     """Bootstrap the pipeline with B row-resamples of size n_effective.
 
-    Point estimates always come from the original sample and are never
-    altered here. Replicates that fail (singular systems, degenerate
+    Estimates and sign alignment come from the converged point ``fit`` and,
+    if given, ``cyclic``, its step 2, which the replicates then run too;
+    neither is refitted. Replicates that fail (singular systems, degenerate
     resampled columns, step-2 failures) are skipped and counted; a failure
     rate above 5% raises EstimationError with a tally of the failures by
     reason and the last failure's diagnostic.
@@ -217,45 +221,42 @@ def bootstrap(
         raise ValueError(f"bootstrap needs at least {MIN_REPLICATES} replicates, got {b}")
     if not 0.0 < level < 1.0:
         raise ValueError("level must be in (0, 1)")
-
-    fit0 = fit_pls(data, spec, tol=tol, max_iter=max_iter)
-    if not fit0.converged:
-        raise EstimationError(f"weights did not converge within {max_iter} iterations")
-    cyc0 = spec.cyclic and estimate_cyclic(data, fit0, spec, tol=tol, max_iter=max_iter)
+    if not fit.converged:
+        raise EstimationError(f"weights did not converge within {fit.iterations} iterations")
 
     # one row per coefficient: paths, loadings block by block, cyclic paths
-    names = fit0.constructs
+    names = fit.constructs
     loading_keys = [(name, col) for name in names
                     for col in data.columns[slice(*data.block_index[name])]]
-    cyclic0 = cyc0.cyclic_paths if cyc0 is not None else {}
-    keys = [*fit0.paths, *loading_keys, *cyclic0]
-    estimates = [*fit0.paths.values(), *np.concatenate([*fit0.loadings.values()]), *cyclic0.values()]
+    cyclic0 = cyclic.cyclic_paths if cyclic is not None else {}
+    keys = [*fit.paths, *loading_keys, *cyclic0]
+    estimates = [*fit.paths.values(), *np.concatenate([*fit.loadings.values()]), *cyclic0.values()]
 
     # one alignment sign per block of the fit, then of step 2; member[j, i] is 1
     # when weight column j belongs to block i
-    fits = [fit0] if cyc0 is None else [fit0, cyc0.step2_fit]
-    reference = [w for fit in fits for w in fit.weights.values()]
+    fits = [fit] if cyclic is None else [fit, cyclic.step2_fit]
+    reference = [w for point in fits for w in point.weights.values()]
     member = np.eye(len(reference))[np.repeat(np.arange(len(reference)), list(map(len, reference)))]
     reference = np.concatenate(reference)
-    sources = np.array([names.index(s) for s, _ in fit0.paths], int)
-    targets = np.array([names.index(t) for _, t in fit0.paths], int)
-    source = names.index(spec.cyclic.source) if cyc0 is not None else None
+    sources = np.array([names.index(s) for s, _ in fit.paths], int)
+    targets = np.array([names.index(t) for _, t in fit.paths], int)
+    source = names.index(cyclic.step2_spec.blocks[0].name) if cyclic is not None else None
     chunks, reasons, last_failure = [], Counter(), ""
     for corr, failures in _replicate_moments(data, seed, b):
         weights, loadings, paths, _, _, done = _fit_stack(corr, spec, data.block_index, tol,
                                                           max_iter, failures)
         failures[:] = [f or (None if d else "replicate weights did not converge")
                        for f, d in zip(failures, done)]
-        if cyc0 is not None:
+        if cyclic is not None:
             source_weights = weights[:, member[: len(loading_keys), source] == 1]
             (weights2, _, paths2, *_), _ = _fit_step2(corr, source_weights, data.block_index,
-                                                      cyc0.step2_spec, tol, max_iter, failures)
+                                                      cyclic.step2_spec, tol, max_iter, failures)
             weights = np.hstack([weights, weights2])
         # -1.0 for each block whose weights point away from the reference's
         sign = np.where((weights * reference) @ member < 0, -1.0, 1.0)
         column = [paths[:, targets, sources] * sign[:, sources] * sign[:, targets]]
         column.append(loadings * (sign @ member.T)[:, : len(loading_keys)])
-        if cyc0 is not None:
+        if cyclic is not None:
             # step 2 ran on the unaligned fit: its single-item source makes it
             # exactly sign-equivariant there (negation is exact), so a flipped
             # source leaves the target weights bitwise the same and negates each
@@ -277,7 +278,7 @@ def bootstrap(
 
     reps = np.hstack(chunks)
     stats = [_stats(e, r, level) for e, r in zip(estimates, reps)]
-    a, c = len(fit0.paths), len(fit0.paths) + len(loading_keys)
+    a, c = len(fit.paths), len(fit.paths) + len(loading_keys)
     return BootstrapResult(
         b_requested=b,
         b_effective=reps.shape[1],

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from plscycle import dataset
+from plscycle import dataset, estimate_cyclic, fit_pls
 from plscycle.dataset import PreparedData
+from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 
 def make_prepared(matrix: np.ndarray, spec) -> PreparedData:
@@ -33,6 +34,16 @@ def make_prepared(matrix: np.ndarray, spec) -> PreparedData:
         missing_cells={b.name: 0 for b in spec.blocks},
         mca_inertia_share={},
     )
+
+
+def point_fits(data, spec, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> dict:
+    """The point fits that ``bootstrap`` resamples, as its ``fit`` and ``cyclic`` arguments.
+
+    ``cyclic`` is the step 2 of a spec with a cyclic section, else None.
+    """
+    fit = fit_pls(data, spec, tol=tol, max_iter=max_iter)
+    cyc = spec.cyclic and estimate_cyclic(data, fit, spec, tol=tol, max_iter=max_iter)
+    return {"fit": fit, "cyclic": cyc}
 
 
 def exact_correlation_sample(target: np.ndarray, n: int, seed: int = 0) -> np.ndarray:

@@ -33,7 +33,7 @@ from plscycle import (
 )
 from plscycle.cli import main
 
-from conftest import exact_correlation_sample, make_prepared
+from conftest import exact_correlation_sample, make_prepared, point_fits
 
 
 def check(capsys, num, label, ok, detail):
@@ -246,7 +246,7 @@ def test_criterion_07_bootstrap_spread_and_coverage_are_calibrated(capsys):
     analytic = (1.0 - rho**2) / math.sqrt(n)
     target = np.array([[1.0, rho], [rho, 1.0]])
     data = make_prepared(exact_correlation_sample(target, n, seed=11), spec)
-    boot = bootstrap(data, spec, b=b, seed=3)
+    boot = bootstrap(data, spec, b=b, seed=3, **point_fits(data, spec))
     se_err = abs(boot.paths[("A", "B")].se - analytic) / analytic
 
     covered = 0
@@ -256,7 +256,7 @@ def test_criterion_07_bootstrap_spread_and_coverage_are_calibrated(capsys):
         z = rng.standard_normal((n, 2))
         matrix = np.column_stack([z[:, 0], rho * z[:, 0] + 0.8 * z[:, 1]])
         sample = make_prepared(matrix, spec)
-        ci = bootstrap(sample, spec, b=b, seed=i).paths[("A", "B")].ci
+        ci = bootstrap(sample, spec, b=b, seed=i, **point_fits(sample, spec)).paths[("A", "B")].ci
         covered += ci[0] <= rho <= ci[1]
     coverage = covered / datasets
     elapsed = time.monotonic() - started

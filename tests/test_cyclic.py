@@ -22,7 +22,7 @@ from plscycle import (
 )
 from plscycle import cyclic as cyclic_module
 
-from conftest import exact_correlation_sample, make_prepared
+from conftest import exact_correlation_sample, make_prepared, point_fits
 
 # per-coefficient standard errors backed out of the published t statistics
 # (equal-sigma inversion of the test formula at n = 151660)
@@ -211,7 +211,7 @@ def test_reinforcement_tests_pair_each_cyclic_effect_with_its_mirror():
     data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=3), spec)
     fit = fit_pls(data, spec)
     cyc = estimate_cyclic(data, fit, spec)
-    boot = bootstrap(data, spec, b=100, seed=1)
+    boot = bootstrap(data, spec, b=100, seed=1, fit=fit, cyclic=cyc)
     tests = reinforcement_tests(cyc, boot, 250, direction="two_sided")
     assert list(tests) == [("X3", "X1"), ("X3", "X2")]
     assert tests[("X3", "X1")] == "no direct sequential path X1 -> X3"
@@ -323,7 +323,7 @@ def test_step_two_reestimates_multi_indicator_target_weights():
     assert cyc.paired_sequential[("Y", "M")] == fit.paths[("M", "Y")]
 
 
-def test_bootstrap_validates_the_cyclic_spec_once(monkeypatch):
+def test_estimate_cyclic_validates_the_spec_and_bootstrap_does_not(monkeypatch):
     spec = chain_spec(cyclic={"source": "X3"})
     data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=8), spec)
     calls = []
@@ -333,10 +333,12 @@ def test_bootstrap_validates_the_cyclic_spec_once(monkeypatch):
         return validate_model(spec)
 
     monkeypatch.setattr(cyclic_module, "validate_model", counted)
-    bootstrap(data, spec, b=100, seed=4)
-    assert calls == [spec]  # the point estimate's step 2; replicates take its step-2 spec
-    # a second bootstrap validates again: no verdict is kept between calls
-    bootstrap(data, spec, b=100, seed=4)
+    fits = point_fits(data, spec)
+    assert calls == [spec]  # the point step 2; replicates take its step-2 spec
+    bootstrap(data, spec, b=100, seed=4, **fits)
+    assert calls == [spec]
+    # a second step 2 validates again: no verdict is kept between calls
+    estimate_cyclic(data, fits["fit"], spec)
     assert calls == [spec, spec]
     stray = dataclasses.replace(spec, cyclic=dataclasses.replace(spec.cyclic, targets=("X9",)))
     for _ in range(2):

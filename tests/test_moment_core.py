@@ -28,12 +28,14 @@ from plscycle import (
     estimate_cyclic,
     fit_pls,
     parse_model,
+    plscore,
     resample,
 )
-from plscycle.dataset import Moments, PreparedData
+from plscycle.dataset import Moments
 from plscycle.modelspec import SCHEMES
+from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-from conftest import make_prepared
+from conftest import make_prepared, point_fits
 
 TOL = 1e-10
 
@@ -181,7 +183,8 @@ def check_bootstrap_matches_reference(budgets):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec)
     budgets(data)
-    assert_replicates_match_reference(bootstrap(data, spec, b=100, seed=9), data, spec, seed=9)
+    boot = bootstrap(data, spec, b=100, seed=9, **point_fits(data, spec))
+    assert_replicates_match_reference(boot, data, spec, seed=9)
 
 
 def test_bootstrap_replicates_match_data_space_reference():
@@ -209,8 +212,9 @@ def test_bootstrap_matches_data_space_reference_where_the_source_flips(scheme, m
     stacks = recorded_stacks(monkeypatch, resample)
     spec = parse_model({**WEAK_MODEL, "scheme": scheme})
     data = cyclic_data(spec, n=60, iu_loadings=WEAK_LOADINGS)
-    boot = bootstrap(data, spec, b=100, seed=3)
-    point = fit_pls(data, spec).weights["IU"]
+    fits = point_fits(data, spec)
+    boot = bootstrap(data, spec, b=100, seed=3, **fits)
+    point = fits["fit"].weights["IU"]
     (_, (weights, *_)), = stacks
     assert np.any(weights[:, -len(point):] @ point < 0)  # IU is the last block
     assert_replicates_match_reference(boot, data, spec, seed=3)
@@ -253,26 +257,45 @@ def test_fit_is_the_same_on_prepared_data_and_on_moments():
     assert cyc_bare.paired_sequential == cyc.paired_sequential
 
 
-def test_bootstrap_refits_its_point_estimates_on_the_data_and_replicates_on_moments(
-    monkeypatch,
-):
-    inputs = []
-
-    def recorded(inner):
-        def wrapper(data, *args, **kwargs):
-            inputs.append(type(data))
-            return inner(data, *args, **kwargs)
-        return wrapper
-
-    for name in ("fit_pls", "estimate_cyclic"):
-        monkeypatch.setattr(resample, name, recorded(getattr(resample, name)))
+def test_bootstrap_makes_no_point_fit_and_replicates_on_moments(monkeypatch):
+    point = recorded_stacks(monkeypatch, plscore)  # every fit_pls
     step1, step2 = recorded_stacks(monkeypatch, resample), recorded_stacks(monkeypatch, cyclic)
     spec = parse_model(CYCLIC_MODEL)
-    bootstrap(cyclic_data(spec), spec, b=100, seed=2)
-    assert inputs == [PreparedData] * 2
+    data = cyclic_data(spec)
+    fits = point_fits(data, spec)
+    assert [corr.shape for corr, _ in point + step2] == [(1, 11, 11), (1, 12, 12)]
+    point.clear()
+    step2.clear()
+    bootstrap(data, spec, b=100, seed=2, **fits)
+    assert point == []
     # the replicates reach the core as one stack of R: 11 columns, and the step-1 score
     assert [corr.shape for corr, _ in step1] == [(100, 11, 11)]
-    assert [corr.shape for corr, _ in step2] == [(1, 12, 12), (100, 12, 12)]
+    assert [corr.shape for corr, _ in step2] == [(100, 12, 12)]
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-2])
+def test_estimates_are_the_given_fits_bit_for_bit(tol):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec)
+    fits = point_fits(data, spec, tol=tol)
+    fit, cyc = fits["fit"], fits["cyclic"]
+    if tol != DEFAULT_TOL:  # a refit at the bootstrap's own tol would differ
+        assert fit.paths != fit_pls(data, spec).paths
+    boot = bootstrap(data, spec, b=100, seed=2, **fits)
+    assert {k: s.estimate for k, s in boot.paths.items()} == fit.paths
+    assert {k: s.estimate for k, s in boot.cyclic_paths.items()} == cyc.cyclic_paths
+    for (name, col), stats in boot.loadings.items():
+        j = data.columns.index(col) - data.block_index[name][0]
+        assert stats.estimate == fit.loadings[name][j]
+
+
+def test_a_given_fit_that_did_not_converge_is_rejected():
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec)
+    fit = fit_pls(data, spec, max_iter=2)
+    assert not fit.converged
+    with pytest.raises(EstimationError, match="^weights did not converge within 2 iterations$"):
+        bootstrap(data, spec, b=100, fit=fit)
 
 
 class GramCounter(np.ndarray):
@@ -294,7 +317,7 @@ def test_one_prepared_data_set_forms_its_gram_matrix_once(monkeypatch):
     monkeypatch.setattr(GramCounter, "grams", 0)
     fit = fit_pls(data, spec)
     cyc = estimate_cyclic(data, fit, spec)
-    boot = bootstrap(data, spec, b=100, seed=2)
+    boot = bootstrap(data, spec, b=100, seed=2, fit=fit, cyclic=cyc)
     report = assess(fit, data, boot)
     assert GramCounter.grams == 1
     assert fit.paths == fit_pls(plain, spec).paths
@@ -307,7 +330,7 @@ def exact_moments(data, seed, r):
     n = data.matrix.shape[0]
     counts = np.bincount(resample._replicate_rng(seed, r).integers(0, n, size=n), minlength=n)
     try:
-        return resample._resampled_moments(data, counts).corr
+        return resample._resampled_moments(data, counts)
     except DataError as exc:
         return exc
 
@@ -404,7 +427,7 @@ def test_row_drawn_past_uint8_takes_the_exact_path(stubbed_draws, monkeypatch):
 def test_stubbed_heavy_and_degenerate_replicates_match_data_space_reference(stubbed_draws):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
-    boot = bootstrap(data, spec, b=100, seed=2)
+    boot = bootstrap(data, spec, b=100, seed=2, **point_fits(data, spec))
     reps = oracle.replicates(data, spec, b=100, seed=2)
     assert reps[6] == "zero variance in a resampled column"
     assert boot.failures == 1 and boot.failure_reasons == {"zero variance": 1}
@@ -417,37 +440,27 @@ def test_stubbed_heavy_and_degenerate_replicates_match_data_space_reference(stub
 
 def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeypatch):
     # one stacked step-1 fit and one stacked step 2 per chunk of replicates;
-    # the point estimates go through the module's fit_pls and estimate_cyclic
-    calls = {"fit_pls": 0, "estimate_cyclic": 0}
-
-    def counted(name):
-        inner = getattr(resample, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return inner(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(resample, name, counted(name))
-    step1, step2 = recorded_stacks(monkeypatch, resample), recorded_stacks(monkeypatch, cyclic)
+    # the point fits are the caller's, so resample has no name to make them
+    assert not hasattr(resample, "fit_pls") and not hasattr(resample, "estimate_cyclic")
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
+    fits = point_fits(data, spec)
+    step1, step2 = recorded_stacks(monkeypatch, resample), recorded_stacks(monkeypatch, cyclic)
     set_budgets(monkeypatch, data, chunk=40, rows=64)
-    boot = bootstrap(data, spec, b=100, seed=2)
+    boot = bootstrap(data, spec, b=100, seed=2, **fits)
     assert boot.b_effective == 99
-    assert calls == {"fit_pls": 1, "estimate_cyclic": 1}
     assert [len(corr) for corr, _ in step1] == [40, 40, 20]
-    assert [len(corr) for corr, _ in step2] == [1, 40, 40, 20]
+    assert [len(corr) for corr, _ in step2] == [40, 40, 20]
 
 
 def reference_failures(data, spec, **kwargs):
     return [rep for rep in oracle.replicates(data, spec, b=100, **kwargs) if isinstance(rep, str)]
 
 
-def abort(data, spec, **kwargs) -> str:
+def abort(data, spec, seed, max_iter=DEFAULT_MAX_ITER) -> str:
+    fits = point_fits(data, spec, max_iter=max_iter)
     with pytest.raises(EstimationError, match="bootstrap failure rate") as info:
-        bootstrap(data, spec, b=100, **kwargs)
+        bootstrap(data, spec, b=100, seed=seed, max_iter=max_iter, **fits)
     return str(info.value)
 
 
@@ -538,7 +551,7 @@ def check_singular_replicates(model, message, budgets):
     budgets(rare)
     failures = reference_failures(rare, spec, seed=1)
     assert 0 < len(failures) <= 5 and set(failures) == {message}
-    boot = bootstrap(rare, spec, b=100, seed=1)
+    boot = bootstrap(rare, spec, b=100, seed=1, **point_fits(rare, spec))
     assert boot.failures == len(failures)
     assert boot.failure_reasons == {"singular system": len(failures)}
     # one differing row: about 37% of the resamples are singular

@@ -13,7 +13,7 @@ from plscycle import (
     percentile_ci,
 )
 
-from conftest import exact_correlation_sample, make_prepared
+from conftest import exact_correlation_sample, make_prepared, point_fits
 
 
 def test_nearest_rank_interval_on_1_to_100():
@@ -81,16 +81,16 @@ def test_rejects_too_few_replicates_and_bad_level():
     spec = parse_model(PAIR_MODEL)
     data = pair_data(spec, n=200)
     with pytest.raises(ValueError, match="at least 100 replicates"):
-        bootstrap(data, spec, b=50)
+        bootstrap(data, spec, b=50, **point_fits(data, spec))
     with pytest.raises(ValueError, match="level must be in"):
-        bootstrap(data, spec, b=100, level=1.0)
+        bootstrap(data, spec, b=100, level=1.0, **point_fits(data, spec))
 
 
 def test_same_seed_reproduces_replicates_exactly():
     spec = parse_model(PAIR_MODEL)
     data = pair_data(spec, n=150)
-    first = bootstrap(data, spec, b=100, seed=42)
-    second = bootstrap(data, spec, b=100, seed=42)
+    first = bootstrap(data, spec, b=100, seed=42, **point_fits(data, spec))
+    second = bootstrap(data, spec, b=100, seed=42, **point_fits(data, spec))
     key = ("A", "B")
     assert np.array_equal(first.paths[key].replicates, second.paths[key].replicates)
     assert first.paths[key].ci == second.paths[key].ci
@@ -102,7 +102,7 @@ def test_point_estimates_come_from_original_sample():
     data = pair_data(spec, n=150)
     fit = fit_pls(data, spec)
     for seed in (0, 99):
-        boot = bootstrap(data, spec, b=100, seed=seed)
+        boot = bootstrap(data, spec, b=100, seed=seed, fit=fit)
         assert boot.paths[("A", "B")].estimate == fit.paths[("A", "B")]
         assert boot.loadings[("A", "a")].estimate == fit.loadings["A"][0]
 
@@ -110,7 +110,7 @@ def test_point_estimates_come_from_original_sample():
 def test_bookkeeping_fields():
     spec = parse_model(PAIR_MODEL)
     data = pair_data(spec, n=150)
-    boot = bootstrap(data, spec, b=120, level=0.9, seed=5)
+    boot = bootstrap(data, spec, b=120, level=0.9, seed=5, **point_fits(data, spec))
     assert boot.b_requested == 120
     assert boot.b_effective + boot.failures == 120
     assert sum(boot.failure_reasons.values()) == boot.failures
@@ -129,7 +129,7 @@ def test_standard_error_matches_sampling_theory():
     spec = parse_model(PAIR_MODEL)
     rho, n = 0.6, 5000
     data = pair_data(spec, rho=rho, n=n, seed=11)
-    boot = bootstrap(data, spec, b=200, seed=7)
+    boot = bootstrap(data, spec, b=200, seed=7, **point_fits(data, spec))
     analytic = (1.0 - rho**2) / math.sqrt(n)
     assert abs(boot.paths[("A", "B")].se - analytic) < 0.2 * analytic
 
@@ -151,7 +151,7 @@ def test_zero_population_path_is_not_flagged_significant():
     # r13 = r12 * r23 makes the direct X1 -> X3 coefficient exactly zero
     target = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
     data = make_prepared(exact_correlation_sample(target, 400, seed=8), spec)
-    boot = bootstrap(data, spec, b=200, seed=13)
+    boot = bootstrap(data, spec, b=200, seed=13, **point_fits(data, spec))
     weak = boot.paths[("X1", "X3")]
     strong = boot.paths[("X2", "X3")]
     assert abs(weak.estimate) < 1e-10
@@ -175,12 +175,17 @@ def test_cyclic_coefficients_are_bootstrapped_when_declared():
     spec = parse_model(model)
     target = np.array([[1.0, 0.5, 0.3], [0.5, 1.0, 0.6], [0.3, 0.6, 1.0]])
     data = make_prepared(exact_correlation_sample(target, 300, seed=9), spec)
-    boot = bootstrap(data, spec, b=100, seed=2)
+    fits = point_fits(data, spec)
+    boot = bootstrap(data, spec, b=100, seed=2, **fits)
     assert set(boot.cyclic_paths) == {("X3", "X1"), ("X3", "X2")}
     stats = boot.cyclic_paths[("X3", "X2")]
     assert stats.estimate == pytest.approx(0.6, abs=1e-10)
     assert stats.replicates.shape == (boot.b_effective,)
     assert 0.0 < stats.se < 0.2
+    # step 2 is bootstrapped when it is given, not when the spec has a cyclic section
+    sequential = bootstrap(data, spec, b=100, seed=2, fit=fits["fit"])
+    assert sequential.cyclic_paths == {}
+    assert sequential.paths.keys() == boot.paths.keys()
 
 
 def test_sign_alignment_keeps_replicates_on_one_side():
@@ -202,7 +207,7 @@ def test_sign_alignment_keeps_replicates_on_one_side():
         ]
     )
     data = make_prepared(exact_correlation_sample(target, 60, seed=10), spec)
-    boot = bootstrap(data, spec, b=200, seed=17)
+    boot = bootstrap(data, spec, b=200, seed=17, **point_fits(data, spec))
     for col in ("a1", "a2"):
         assert np.all(boot.loadings[("A", col)].replicates > 0)
     path = boot.paths[("A", "B")]
@@ -220,4 +225,4 @@ def test_degenerate_column_pushes_failure_rate_over_limit():
     matrix = np.column_stack([a, rng.normal(size=12)])
     data = make_prepared(matrix, spec)
     with pytest.raises(EstimationError, match="bootstrap failure rate"):
-        bootstrap(data, spec, b=100, seed=1)
+        bootstrap(data, spec, b=100, seed=1, **point_fits(data, spec))
