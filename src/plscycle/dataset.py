@@ -510,14 +510,15 @@ def write_table(path: str, table: RawTable) -> None:
                 handle.buffer.writelines([back] if len(back) == size else _csv_body(values[half:]))
 
 
-def standardize_column(x: np.ndarray, name: str = "") -> np.ndarray:
-    """Center and scale to unit population variance; error on zero variance."""
+def standardize_column(x: np.ndarray, name: str = "", out: np.ndarray | None = None) -> np.ndarray:
+    """Center and scale to unit population variance, into ``out`` if given; zero variance raises."""
     mean = x.mean()
     std = x.std()
     if std <= 1e-12 * max(1.0, abs(mean)):
         label = f" in column '{name}'" if name else ""
         raise DataError(f"zero variance{label}")
-    return (x - mean) / std
+    out = np.subtract(x, mean, out=out)
+    return np.divide(out, std, out=out)
 
 
 def _mca_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -591,6 +592,9 @@ def prepare_blocks(
     indicator columns; ``mean`` imputes column means instead. MCA runs on the
     raw binary values of each mca-single-item block after the policy, and its
     score column is standardized along with everything else.
+
+    ``raw.values`` is untouched: ``matrix`` is one copy of the selected columns,
+    standardized in place, or a second copy when an MCA block narrows it.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing policy '{missing_policy}'")
@@ -601,9 +605,10 @@ def prepare_blocks(
             if col not in position:
                 raise DataError(f"indicator column '{col}' not found in data")
 
-    selected = [position[col] for block in spec.blocks for col in block.indicators]
-    sub = raw.values[:, selected]
-    n_input = sub.shape[0]
+    names = [col for block in spec.blocks for col in block.indicators]
+    selected = [position[col] for col in names]
+    n_input = raw.values.shape[0]
+    missing = np.isnan(raw.values)[:, selected]
 
     offsets: dict[str, tuple[int, int]] = {}
     cursor = 0
@@ -612,19 +617,18 @@ def prepare_blocks(
         cursor += len(block.indicators)
 
     missing_cells = {
-        block.name: int(np.isnan(sub[:, slice(*offsets[block.name])]).sum())
+        block.name: int(missing[:, slice(*offsets[block.name])].sum())
         for block in spec.blocks
     }
 
     if missing_policy == "listwise":
-        sub = sub[~np.isnan(sub).any(axis=1)]
+        sub = raw.values[np.ix_(~missing.any(axis=1), selected)].astype(np.float64, copy=False)
     else:
-        sub = sub.copy()
-        for j in range(sub.shape[1]):
-            col = sub[:, j]
-            mask = np.isnan(col)
+        sub = raw.values.take(selected, axis=1).astype(np.float64, copy=False)
+        for j, name in enumerate(names):
+            col, mask = sub[:, j], missing[:, j]
             if mask.all():
-                raise DataError("column has no observed values")
+                raise DataError(f"column '{name}' has no observed values")
             if mask.any():
                 col[mask] = col[~mask].mean()
 
@@ -634,27 +638,29 @@ def prepare_blocks(
             f"too few rows after missing-data handling: {n_effective} < 10"
         )
 
-    out_columns: list[np.ndarray] = []
     out_names: list[str] = []
+    kept: list[int] = []
     block_index: dict[str, tuple[int, int]] = {}
     inertia: dict[str, float] = {}
     for block in spec.blocks:
         lo, hi = offsets[block.name]
-        values = sub[:, lo:hi]
         start = len(out_names)
         if block.mode == "mca-single-item":
-            scores, share = mca_first_dimension(values)
-            inertia[block.name] = share
-            out_columns.append(standardize_column(scores, block.name))
+            scores, inertia[block.name] = mca_first_dimension(sub[:, lo:hi])
+            # the block's first column is free once its MCA has run
+            standardize_column(scores, block.name, out=sub[:, lo])
             out_names.append(block.name)
+            kept.append(lo)
         else:
             for k, col in enumerate(block.indicators):
-                out_columns.append(standardize_column(values[:, k], col))
-                out_names.append(col)
+                standardize_column(sub[:, lo + k], col, out=sub[:, lo + k])
+            out_names.extend(block.indicators)
+            kept.extend(range(lo, hi))
         block_index[block.name] = (start, len(out_names))
+    matrix = sub if len(kept) == sub.shape[1] else sub.take(kept, axis=1)
 
     return PreparedData(
-        matrix=np.column_stack(out_columns),
+        matrix=matrix,
         block_index=block_index,
         columns=tuple(out_names),
         n_input=n_input,

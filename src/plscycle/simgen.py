@@ -131,13 +131,12 @@ def _equilibrium(pop: PopulationSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _emit_indicators(xi: np.ndarray, pop: PopulationSpec, eps: np.ndarray) -> np.ndarray:
-    columns: list[np.ndarray] = []
-    col = 0
-    for i, construct in enumerate(pop.constructs):
-        for lam in construct.loadings:
-            columns.append(lam * xi[:, i] + np.sqrt(1.0 - lam**2) * eps[:, col])
-            col += 1
-    return np.column_stack(columns)
+    """Turn ``eps`` into the indicator table in place, one column at a time."""
+    loadings = [(i, lam) for i, c in enumerate(pop.constructs) for lam in c.loadings]
+    for col, (i, lam) in enumerate(loadings):
+        eps[:, col] *= np.sqrt(1.0 - lam**2)
+        eps[:, col] += lam * xi[:, i]
+    return eps
 
 
 def indicator_names(pop: PopulationSpec) -> tuple[str, ...]:
@@ -183,8 +182,8 @@ def gen_cyclic_equilibrium(pop: PopulationSpec) -> RawTable:
     _validate(pop)
     a, psi, scale = _equilibrium(pop)
     z, eps = _draws(pop)
-    zeta = z * np.sqrt(psi)
-    xi = (zeta @ a.T) / scale
+    z *= np.sqrt(psi)
+    xi = (z @ a.T) / scale
     return RawTable(header=indicator_names(pop), values=_emit_indicators(xi, pop, eps))
 
 

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,3 +113,20 @@ def in_child_only(monkeypatch, module, name, replacement):
         return replacement(*args, **kwargs)
 
     monkeypatch.setattr(module, name, patched)
+
+
+# memory bounds are stated in copies of a float64 table a little larger than
+# the paper's sample (151,660 rows, 11 indicators)
+TABLE_SHAPE = (200_000, 11)
+TABLE_BYTES = TABLE_SHAPE[0] * TABLE_SHAPE[1] * 8
+
+
+def traced_peak_tables(call, held: int = 0) -> float:
+    """Peak traced memory of ``call()``, plus ``held`` bytes, in TABLE_SHAPE tables."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        call()
+        return (held + tracemalloc.get_traced_memory()[1]) / TABLE_BYTES
+    finally:
+        tracemalloc.stop()

@@ -20,7 +20,7 @@ from plscycle import (
 )
 from plscycle import dataset
 
-from conftest import force_split, in_child_only
+from conftest import TABLE_BYTES, TABLE_SHAPE, force_split, in_child_only, traced_peak_tables
 
 # rows {111, 110, 100, 011, 001, 000}; leading principal inertias tie at 4/9
 MCA_FIXTURE = np.array(
@@ -524,6 +524,22 @@ def test_policies_agree_on_complete_data(tmp_path):
     assert np.array_equal(a.matrix, b.matrix)
 
 
+def test_mean_policy_names_a_column_with_no_observed_values(tmp_path):
+    path = write(tmp_path, "a1,a2,b1\n" + "1,NA,2\n3,NA,5\n" * 6)
+    with pytest.raises(DataError, match=r"^column 'a2' has no observed values$"):
+        prepare_blocks(load_table(path), two_block_model(), "mean")
+
+
+@pytest.mark.parametrize("policy", ["listwise", "mean"])
+def test_an_integer_table_prepares_as_its_float64_copy(policy):
+    values = np.random.default_rng(2).integers(-50, 50, size=(30, 3))
+    as_int = prepare_blocks(RawTable(("a1", "a2", "b1"), values), two_block_model(), policy)
+    as_float = prepare_blocks(
+        RawTable(("a1", "a2", "b1"), values.astype(np.float64)), two_block_model(), policy
+    )
+    assert np.array_equal(as_int.matrix, as_float.matrix)
+
+
 def test_too_few_rows_after_listwise(tmp_path):
     # 28 rows with a missing cell plus 2 complete ones -> 2 effective rows
     rows = ["a1,a2,b1"] + ["NA,0,0"] * 28 + ["1,2,3", "4,5,6"]
@@ -636,3 +652,106 @@ def test_prepare_collapses_mca_block_to_named_column(tmp_path):
     assert 0.0 < data.mca_inertia_share["Q"] <= 1.0
     scores, _ = mca_first_dimension(q.astype(float))
     assert np.allclose(data.matrix[:, 0], scores, atol=1e-10)
+
+
+def reference_prepare(raw, spec, policy):
+    """The prepared matrix built column by column: a copy of the selection,
+    the policy applied to it, then ``np.column_stack`` of each standardized
+    indicator or MCA score."""
+    selected = [raw.header.index(col) for block in spec.blocks for col in block.indicators]
+    sub = raw.values[:, selected]
+    if policy == "listwise":
+        sub = sub[~np.isnan(sub).any(axis=1)]
+    else:
+        sub = sub.copy()
+        for j in range(sub.shape[1]):
+            col, mask = sub[:, j], np.isnan(sub[:, j])
+            if mask.all():
+                raise DataError(f"column '{raw.header[selected[j]]}' has no observed values")
+            col[mask] = col[~mask].mean()
+    if sub.shape[0] < 10:
+        raise DataError(f"too few rows after missing-data handling: {sub.shape[0]} < 10")
+    columns, cursor = [], 0
+    for block in spec.blocks:
+        values = sub[:, cursor:cursor + len(block.indicators)]
+        cursor += len(block.indicators)
+        if block.mode == "mca-single-item":
+            columns.append(standardize_column(mca_first_dimension(values)[0], block.name))
+        else:
+            columns.extend(
+                standardize_column(values[:, k], col) for k, col in enumerate(block.indicators)
+            )
+    return np.column_stack(columns)
+
+
+def outcome(prepare):
+    try:
+        return prepare()
+    except DataError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_prepare_blocks_equals_the_column_stack_reference(draw):
+    n = draw.draw(st.integers(16, 48), label="rows")
+
+    def cells(width, elements):
+        # fill=st.nothing() draws every cell, instead of filling most with one value
+        return arrays(np.float64, (n, width), elements=elements, fill=st.nothing())
+
+    real = draw.draw(cells(6, st.floats(-1e6, 1e6)), label="real")
+    binary = draw.draw(cells(2, st.sampled_from([0.0, 1.0])), label="binary")
+    values = np.column_stack([real, binary])
+    missing = draw.draw(cells(8, st.sampled_from([1.0] + [0.0] * 11)), label="missing") == 1.0
+    # an imputed mean is not binary, so MCA columns under "mean" are mostly complete
+    missing[:, 6:] &= draw.draw(st.booleans(), label="binary cells missing")
+    values[missing] = np.nan
+    header = tuple(f"r{j}" for j in range(6)) + ("q0", "q1")
+    # five of the six real columns, in a drawn order: the selection reorders
+    # them and skips one
+    reals = draw.draw(st.permutations(header[:6]), label="real order")[:5]
+    quals = draw.draw(st.permutations(header[6:]), label="binary order")
+    mca_width = draw.draw(st.sampled_from([1, 2]), label="mca width")
+    blocks = [
+        {"name": "A", "indicators": list(reals[:3])},
+        {"name": "B", "indicators": [reals[3]], "mode": "single-item"},
+        {"name": "C", "indicators": [reals[4]]},
+        {"name": "Q", "indicators": list(quals[:mca_width]), "mode": "mca-single-item"},
+    ]
+    spec = parse_model({"blocks": draw.draw(st.permutations(blocks), label="block order")})
+    policy = draw.draw(st.sampled_from(["listwise", "mean"]), label="policy")
+    raw = RawTable(header, values)
+    before = values.tobytes()
+
+    expected = outcome(lambda: reference_prepare(raw, spec, policy))
+    got = outcome(lambda: prepare_blocks(raw, spec, policy))
+    assert raw.values.tobytes() == before
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert np.array_equal(got.matrix, expected)
+        assert got.matrix.flags.c_contiguous
+
+
+PAPER_BLOCKS = parse_model(
+    {
+        "blocks": [
+            {"name": name, "indicators": [f"x{j}" for j in columns]}
+            for name, columns in (("A", range(4)), ("B", range(4, 8)), ("C", range(8, 11)))
+        ]
+    }
+)
+
+
+@pytest.mark.parametrize("policy", ["listwise", "mean"])
+def test_prepare_blocks_peaks_below_two_and_a_half_tables(policy):
+    # the input table plus one prepared copy, and a little scratch
+    values = np.random.default_rng(0).standard_normal(TABLE_SHAPE)
+    values[::97, 3] = np.nan
+    raw = RawTable(tuple(f"x{j}" for j in range(TABLE_SHAPE[1])), values)
+    prepared = []
+    peak = traced_peak_tables(lambda: prepared.append(prepare_blocks(raw, PAPER_BLOCKS, policy)),
+                              held=TABLE_BYTES)
+    assert prepared[0].matrix.shape[1] == TABLE_SHAPE[1]
+    assert peak < 2.5

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import TABLE_SHAPE, traced_peak_tables
 from plscycle import (
     ConstructPopulation,
     ModelError,
@@ -412,3 +413,30 @@ def test_generators_and_truth_are_pinned(doc, values_sha256, truth_sha256):
     assert hashlib.sha256(values.tobytes()).hexdigest() == values_sha256
     truth = json.dumps(population_truth(pop, kind), sort_keys=True)
     assert hashlib.sha256(truth.encode()).hexdigest() == truth_sha256
+
+
+@pytest.mark.parametrize(
+    "generate, paths",
+    [
+        (gen_acyclic, [("A", "B", 0.5), ("B", "C", 0.4)]),
+        (gen_cyclic_equilibrium, [("A", "B", 0.5), ("B", "C", 0.4), ("C", "A", 0.3)]),
+    ],
+    ids=["acyclic", "cyclic"],
+)
+def test_generators_peak_below_two_and_a_half_tables(generate, paths):
+    # the indicators are written into the error draws in place, so the peak
+    # is the table plus the n x 3 construct draws and scores
+    names = ("A", "B", "C")
+    pop = PopulationSpec(
+        constructs=tuple(
+            ConstructPopulation(name=n, loadings=(lam,) * count)
+            for n, lam, count in zip(names, (0.8, 0.7, 0.6), (4, 4, 3))
+        ),
+        b_matrix=b_from(paths, names),
+        n=TABLE_SHAPE[0],
+        seed=1,
+    )
+    tables = []
+    peak = traced_peak_tables(lambda: tables.append(generate(pop)))
+    assert tables[0].values.shape == TABLE_SHAPE
+    assert peak < 2.5
