@@ -27,8 +27,8 @@ from .modelspec import ModelSpec
 MISSING_TOKENS = ("", "NA")
 MISSING_POLICIES = ("listwise", "mean")
 
-# relative tolerance below which two leading principal inertias are one
-# eigenspace and the first dimension must be pinned inside it
+# relative tolerance below which two leading singular values of the MCA are
+# one eigenspace and the first dimension must be pinned inside it
 _TIE_RTOL = 1e-9
 
 # a file to parse, or an array for ``simulate`` to write, of at least this many
@@ -521,11 +521,25 @@ def standardize_column(x: np.ndarray, name: str = "", out: np.ndarray | None = N
     return np.divide(out, std, out=out)
 
 
-def _mca_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correspondence analysis of the complete disjunctive matrix.
+def mca_first_dimension(block: np.ndarray) -> tuple[np.ndarray, float]:
+    """Standard row coordinates on the first MCA dimension of a binary block.
 
-    Returns (U, singular values, row masses) of the standardized residual
-    matrix. The trivial dimension is removed by the residual centering.
+    For 0/1 items, MCA of the complete disjunctive matrix is PCA of the
+    items' correlation matrix R_bb, formed here from exact counts: with X the
+    standardized block and (lambda_1, v_1) the leading eigenpair of R_bb, the
+    scores are X v_1 / sqrt(lambda_1) and lambda_1/q is the first
+    dimension's share of total inertia.
+
+    Scores are oriented to correlate positively with the per-row count of
+    ones, reading the dimension as an intensity scale. When the leading
+    singular values sqrt(lambda/q) tie (within relative tolerance 1e-9) the
+    first dimension is pinned inside the tied eigenspace as the direction of
+    maximal correlation with the row sums; this extends the orientation rule
+    from a sign choice to a basis choice, making the result independent of
+    the eigensolver's arbitrary basis for degenerate eigenvalues.
+
+    Returns (scores, share of total inertia carried by the first dimension).
+    Scores have mean 0 and unit population variance.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2 or block.shape[0] < 2 or block.shape[1] < 1:
@@ -536,51 +550,27 @@ def _mca_svd(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if block[:, j].min() == block[:, j].max():
             raise DataError(f"mca variable {j + 1} has a single observed category")
     n, q = block.shape
-    disjunctive = np.empty((n, 2 * q))
-    disjunctive[:, 0::2] = block
-    disjunctive[:, 1::2] = 1.0 - block
-    probs = disjunctive / disjunctive.sum()
-    row_mass = probs.sum(axis=1)
-    col_mass = probs.sum(axis=0)
-    residual = (probs - np.outer(row_mass, col_mass)) / np.sqrt(np.outer(row_mass, col_mass))
-    u, s, _ = np.linalg.svd(residual, full_matrices=False)
-    return u, s, row_mass
-
-
-def mca_first_dimension(block: np.ndarray) -> tuple[np.ndarray, float]:
-    """Standard row coordinates on the first MCA dimension of a binary block.
-
-    Scores are oriented to correlate positively with the per-row count of
-    ones, reading the dimension as an intensity scale. When the leading
-    principal inertias tie (within relative tolerance 1e-9) the first
-    dimension is pinned inside the tied eigenspace as the direction of
-    maximal correlation with the row sums; this extends the orientation rule
-    from a sign choice to a basis choice, making the result independent of
-    the SVD driver's arbitrary basis for degenerate singular values.
-
-    Returns (scores, share of total inertia carried by the first dimension).
-    Scores have mean 0 and unit population variance.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    u, s, row_mass = _mca_svd(block)
-    row_sums = block.sum(axis=1)
-    centered = row_sums - row_sums.mean()
-    tied = np.flatnonzero(s >= s[0] * (1.0 - _TIE_RTOL))
+    ones = block.sum(axis=0)
+    cross = n * (block.T @ block) - np.outer(ones, ones)  # n^2 times the covariances
+    scale = np.sqrt(np.diag(cross))  # n times the standard deviations
+    corr = cross / np.outer(scale, scale)
+    np.fill_diagonal(corr, 1.0)
+    lam, vecs = np.linalg.eigh(corr)
+    lam, vecs = lam[::-1], vecs[:, ::-1]
+    # X'c for the centered row sums c, which are X times the standard deviations
+    along_sums = cross.sum(axis=1) / scale
+    tied = np.flatnonzero(np.sqrt(np.maximum(lam, 0.0)) >= np.sqrt(lam[0]) * (1.0 - _TIE_RTOL))
+    axis = vecs[:, 0]
     if len(tied) > 1:
-        dots = u[:, tied].T @ centered
+        # inner products of the tied left singular vectors with c
+        dots = vecs[:, tied].T @ along_sums / np.sqrt(n * lam[0])
         norm = np.linalg.norm(dots)
         if norm > 1e-12:
-            direction = u[:, tied] @ (dots / norm)
-        else:
-            direction = u[:, tied[0]]
-    else:
-        direction = u[:, 0]
-    scores = direction / np.sqrt(row_mass)
-    if np.dot(scores, centered) < 0:
-        scores = -scores
-    inertias = s**2
-    share = float(inertias[0] / inertias.sum())
-    return scores, share
+            axis = vecs[:, tied] @ (dots / norm)
+    if axis @ along_sums < 0:
+        axis = -axis
+    coef = axis * n / scale / np.sqrt(lam[0])
+    return block @ coef - ones @ coef / n, float(lam[0] / q)
 
 
 def prepare_blocks(
@@ -589,12 +579,15 @@ def prepare_blocks(
     """Apply the missing-data policy, collapse MCA blocks, and standardize.
 
     ``listwise`` drops any row with a missing value among the model's
-    indicator columns; ``mean`` imputes column means instead. MCA runs on the
-    raw binary values of each mca-single-item block after the policy, and its
-    score column is standardized along with everything else.
+    indicator columns; ``mean`` imputes column means instead, which an
+    mca-single-item block with a missing cell refuses (a mean is not 0 or 1).
+    MCA runs on the raw binary values of each mca-single-item block after the
+    policy, and its score column is standardized along with everything else.
 
-    ``raw.values`` is untouched: ``matrix`` is one copy of the selected columns,
-    standardized in place, or a second copy when an MCA block narrows it.
+    ``raw.values`` is untouched: ``matrix`` is one copy of the model's columns
+    at its final width, standardized in place, with each MCA block's score in
+    the place of its first column; an MCA block reads a copy of its own
+    columns.
     """
     if missing_policy not in MISSING_POLICIES:
         raise ValueError(f"unknown missing policy '{missing_policy}'")
@@ -605,59 +598,57 @@ def prepare_blocks(
             if col not in position:
                 raise DataError(f"indicator column '{col}' not found in data")
 
-    names = [col for block in spec.blocks for col in block.indicators]
-    selected = [position[col] for col in names]
+    selected = [position[col] for block in spec.blocks for col in block.indicators]
     n_input = raw.values.shape[0]
-    missing = np.isnan(raw.values)[:, selected]
-
-    offsets: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for block in spec.blocks:
-        offsets[block.name] = (cursor, cursor + len(block.indicators))
-        cursor += len(block.indicators)
-
+    missing = np.isnan(raw.values)  # by raw column
     missing_cells = {
-        block.name: int(missing[:, slice(*offsets[block.name])].sum())
+        block.name: int(missing[:, [position[col] for col in block.indicators]].sum())
         for block in spec.blocks
     }
 
+    empty = missing[:, selected].all(axis=0)
+    if missing_policy == "mean" and empty.any():
+        raise DataError(f"column '{raw.header[selected[empty.argmax()]]}' has no observed values")
+    keep = np.ones(n_input, dtype=bool)
     if missing_policy == "listwise":
-        sub = raw.values[np.ix_(~missing.any(axis=1), selected)].astype(np.float64, copy=False)
-    else:
-        sub = raw.values.take(selected, axis=1).astype(np.float64, copy=False)
-        for j, name in enumerate(names):
-            col, mask = sub[:, j], missing[:, j]
-            if mask.all():
-                raise DataError(f"column '{name}' has no observed values")
-            if mask.any():
-                col[mask] = col[~mask].mean()
-
-    n_effective = sub.shape[0]
+        keep = ~missing[:, selected].any(axis=1)
+    n_effective = int(keep.sum())
     if n_effective < 10:
         raise DataError(
             f"too few rows after missing-data handling: {n_effective} < 10"
         )
 
     out_names: list[str] = []
-    kept: list[int] = []
+    picks: list[int] = []  # the raw column of each matrix column
     block_index: dict[str, tuple[int, int]] = {}
+    for block in spec.blocks:
+        # an MCA block's score takes the place of its first column
+        kept = [block.name] if block.mode == "mca-single-item" else list(block.indicators)
+        block_index[block.name] = (len(out_names), len(out_names) + len(kept))
+        picks.extend(position[col] for col in block.indicators[: len(kept)])
+        out_names.extend(kept)
+    matrix = raw.values[np.ix_(keep, picks)].astype(np.float64, copy=False)
+
     inertia: dict[str, float] = {}
     for block in spec.blocks:
-        lo, hi = offsets[block.name]
-        start = len(out_names)
+        start = block_index[block.name][0]
         if block.mode == "mca-single-item":
-            scores, inertia[block.name] = mca_first_dimension(sub[:, lo:hi])
-            # the block's first column is free once its MCA has run
-            standardize_column(scores, block.name, out=sub[:, lo])
-            out_names.append(block.name)
-            kept.append(lo)
-        else:
-            for k, col in enumerate(block.indicators):
-                standardize_column(sub[:, lo + k], col, out=sub[:, lo + k])
-            out_names.extend(block.indicators)
-            kept.extend(range(lo, hi))
-        block_index[block.name] = (start, len(out_names))
-    matrix = sub if len(kept) == sub.shape[1] else sub.take(kept, axis=1)
+            if missing_policy == "mean" and missing_cells[block.name]:
+                raise DataError(
+                    f"mca block '{block.name}' has missing cells: mean imputation cannot "
+                    "fill 0/1 items, the 'listwise' missing policy can"
+                )
+            scores, inertia[block.name] = mca_first_dimension(
+                # freed once the scores are formed
+                raw.values[np.ix_(keep, [position[col] for col in block.indicators])]
+            )
+            standardize_column(scores, block.name, out=matrix[:, start])
+            continue
+        for x, col in zip(matrix[:, start:].T, block.indicators):
+            mask = missing[:, position[col]]
+            if missing_policy == "mean" and mask.any():
+                x[mask] = x[~mask].mean()
+            standardize_column(x, col, out=x)
 
     return PreparedData(
         matrix=matrix,

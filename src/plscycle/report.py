@@ -9,6 +9,7 @@ renderer consumes the same dict so both outputs always agree; text rounds to
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Mapping
 
 from .assessment import ReliabilityReport
@@ -33,8 +34,8 @@ def _coef_entry(estimate: float, stats: CoefficientStats | None) -> dict:
 def _fit_section(
     fit: PlsFit,
     block_columns: Mapping[str, tuple[str, ...]],
-    path_stats: Mapping[tuple[str, str], CoefficientStats] | None,
-    loading_stats: Mapping[tuple[str, str], CoefficientStats] | None,
+    path_stats: Mapping[tuple[str, str], CoefficientStats],
+    loading_stats: Mapping[tuple[str, str], CoefficientStats],
 ) -> dict:
     weights = {
         name: {
@@ -43,19 +44,17 @@ def _fit_section(
         }
         for name in fit.constructs
     }
-    loadings = {}
-    for name in fit.constructs:
-        row = {}
-        for col, lam in zip(block_columns[name], fit.loadings[name]):
-            stats = loading_stats.get((name, col)) if loading_stats else None
-            row[col] = _coef_entry(float(lam), stats)
-        loadings[name] = row
-    paths = []
-    for (source, target), value in fit.paths.items():
-        stats = path_stats.get((source, target)) if path_stats else None
-        paths.append(
-            {"source": source, "target": target, **_coef_entry(value, stats)}
-        )
+    loadings = {
+        name: {
+            col: _coef_entry(lam, loading_stats.get((name, col)))
+            for col, lam in zip(block_columns[name], fit.loadings[name])
+        }
+        for name in fit.constructs
+    }
+    paths = [
+        {"source": s, "target": t, **_coef_entry(value, path_stats.get((s, t)))}
+        for (s, t), value in fit.paths.items()
+    ]
     return {
         "converged": bool(fit.converged),
         "iterations": int(fit.iterations),
@@ -68,25 +67,13 @@ def _fit_section(
     }
 
 
-def _assessment_section(report: ReliabilityReport) -> dict:
-    constructs = []
-    for row in report.constructs:
-        entry: dict = {"construct": row.construct, "mode": row.mode}
-        for field in ("alpha", "composite_reliability", "dijkstra_rho_a", "ave", "eig1", "eig2"):
-            value = getattr(row, field)
-            if value is not None:
-                entry[field] = float(value)
-        entry["flags"] = dict(row.flags)
-        indicators = []
-        for ind in row.indicators:
-            item: dict = {"indicator": ind.indicator, "loading": float(ind.loading)}
-            if ind.ci is not None:
-                item["ci"] = [float(ind.ci[0]), float(ind.ci[1])]
-            item["flag"] = ind.flag
-            indicators.append(item)
-        entry["indicators"] = indicators
-        constructs.append(entry)
-    return {"constructs": constructs}
+def _plain(value: object) -> object:
+    """``value`` as JSON takes it: None-valued keys dropped, tuples as lists."""
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items() if v is not None}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _pair_entries(
@@ -151,10 +138,7 @@ def build_run_report(
             "missing_cells": {k: int(v) for k, v in data.missing_cells.items()},
         },
         "fit": _fit_section(
-            fit,
-            block_columns,
-            boot.paths if boot else None,
-            boot.loadings if boot else None,
+            fit, block_columns, boot.paths if boot else {}, boot.loadings if boot else {}
         ),
     }
     if data.mca_inertia_share:
@@ -164,7 +148,7 @@ def build_run_report(
             }
         }
     if assessment is not None:
-        report["assessment"] = _assessment_section(assessment)
+        report["assessment"] = _plain(asdict(assessment))
     if boot is not None:
         report["bootstrap"] = {
             "requested": int(boot.b_requested),
@@ -180,12 +164,7 @@ def build_run_report(
             "source": source,
             "score_column": cyclic.score_column,
             "targets": targets,
-            "step2": _fit_section(
-                cyclic.step2_fit,
-                step2_columns,
-                boot.cyclic_paths,
-                None,
-            ),
+            "step2": _fit_section(cyclic.step2_fit, step2_columns, boot.cyclic_paths, {}),
             "pairs": _pair_entries(cyclic, boot, tests),
         }
     return report

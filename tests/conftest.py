@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plscycle import dataset, estimate_cyclic, fit_pls
 from plscycle.dataset import PreparedData
@@ -45,6 +46,34 @@ def point_fits(data, spec, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> dict:
     fit = fit_pls(data, spec, tol=tol, max_iter=max_iter)
     cyc = spec.cyclic and estimate_cyclic(data, fit, spec, tol=tol, max_iter=max_iter)
     return {"fit": fit, "cyclic": cyc}
+
+
+def mca_oracle_first_dimension(block):
+    """Correspondence analysis of the doubled binary matrix, from scratch.
+
+    Ties among leading principal inertias are resolved the same way the
+    library defines the first dimension: the direction inside the tied
+    eigenspace most aligned with the centered row sums.
+    """
+    n, q = block.shape
+    doubled = np.empty((n, 2 * q))
+    doubled[:, 0::2] = block
+    doubled[:, 1::2] = 1.0 - block
+    probs = doubled / doubled.sum()
+    row_mass = probs.sum(axis=1)
+    col_mass = probs.sum(axis=0)
+    residual = (probs - np.outer(row_mass, col_mass)) / np.sqrt(
+        np.outer(row_mass, col_mass)
+    )
+    u, s, _ = scipy.linalg.svd(residual, full_matrices=False)
+    tied = np.flatnonzero(s >= s[0] * (1.0 - 1e-9))
+    reference = block.sum(axis=1) - block.sum(axis=1).mean()
+    weights = u[:, tied].T @ reference
+    direction = u[:, tied] @ (weights / np.linalg.norm(weights))
+    scores = direction / np.sqrt(row_mass)
+    if scores @ reference < 0:
+        scores = -scores
+    return scores, float(s[0] ** 2 / np.sum(s**2))
 
 
 def exact_correlation_sample(target: np.ndarray, n: int, seed: int = 0) -> np.ndarray:

@@ -11,7 +11,6 @@ import math
 import time
 
 import numpy as np
-import scipy.linalg
 
 from plscycle import (
     ModelError,
@@ -33,7 +32,12 @@ from plscycle import (
 )
 from plscycle.cli import main
 
-from conftest import exact_correlation_sample, make_prepared, point_fits
+from conftest import (
+    exact_correlation_sample,
+    make_prepared,
+    mca_oracle_first_dimension,
+    point_fits,
+)
 
 
 def check(capsys, num, label, ok, detail):
@@ -278,34 +282,6 @@ MCA_FIXTURE = np.array(
     ],
     dtype=np.float64,
 )
-
-
-def mca_oracle_first_dimension(block):
-    """Correspondence analysis of the doubled binary matrix, from scratch.
-
-    Ties among leading principal inertias are resolved the same way the
-    library defines the first dimension: the direction inside the tied
-    eigenspace most aligned with the centered row sums.
-    """
-    n, q = block.shape
-    doubled = np.empty((n, 2 * q))
-    doubled[:, 0::2] = block
-    doubled[:, 1::2] = 1.0 - block
-    probs = doubled / doubled.sum()
-    row_mass = probs.sum(axis=1)
-    col_mass = probs.sum(axis=0)
-    residual = (probs - np.outer(row_mass, col_mass)) / np.sqrt(
-        np.outer(row_mass, col_mass)
-    )
-    u, s, _ = scipy.linalg.svd(residual, full_matrices=False)
-    tied = np.flatnonzero(s >= s[0] * (1.0 - 1e-9))
-    reference = block.sum(axis=1) - block.sum(axis=1).mean()
-    weights = u[:, tied].T @ reference
-    direction = u[:, tied] @ (weights / np.linalg.norm(weights))
-    scores = direction / np.sqrt(row_mass)
-    if scores @ reference < 0:
-        scores = -scores
-    return scores, float(s[0] ** 2 / np.sum(s**2))
 
 
 def test_criterion_08_mca_scores_match_an_independent_oracle(capsys):

@@ -765,6 +765,29 @@ def test_missing_cells_are_counted_with_mean_policy(tmp_path, capsys):
     assert listwise["data"]["n_effective"] == 38
 
 
+def test_a_missing_mca_cell_under_mean_imputation_exits_2(tmp_path, capsys):
+    doc = {
+        "blocks": [
+            {"name": "Q", "mode": "mca-single-item", "indicators": ["q1", "q2"]},
+            {"name": "Y", "mode": "single-item", "indicators": ["y1"]},
+        ],
+        "paths": [{"source": "Q", "target": "Y"}],
+    }
+    model = write_model(tmp_path, doc)
+    rng = np.random.default_rng(8)
+    items = (rng.random((200, 2)) < 0.5).astype(int)
+    rows = [f"{a},{b},{y!r}" for (a, b), y in zip(items.tolist(), rng.normal(size=200).tolist())]
+    rows[5] = "NA" + rows[5][1:]
+    data = tmp_path / "usage.csv"
+    data.write_text("q1,q2,y1\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    argv = ["fit", "--model", model, "--data", str(data), "--bootstrap", "0"]
+    assert main([*argv, "--missing", "mean"]) == 2
+    err = capsys.readouterr().err
+    assert "mca block 'Q' has missing cells" in err
+    assert "mean imputation" in err and "listwise" in err
+    assert run_json(capsys, argv)["data"]["n_effective"] == 199
+
+
 def test_module_runs_as_a_script(tmp_path):
     src = str(Path(plscycle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,7 +20,14 @@ from plscycle import (
 )
 from plscycle import dataset
 
-from conftest import TABLE_BYTES, TABLE_SHAPE, force_split, in_child_only, traced_peak_tables
+from conftest import (
+    TABLE_BYTES,
+    TABLE_SHAPE,
+    force_split,
+    in_child_only,
+    mca_oracle_first_dimension,
+    traced_peak_tables,
+)
 
 # rows {111, 110, 100, 011, 001, 000}; leading principal inertias tie at 4/9
 MCA_FIXTURE = np.array(
@@ -626,6 +633,32 @@ def test_mca_share_is_a_fraction_and_scores_follow_row_sums(seed):
     assert float(np.dot(scores, block.sum(axis=1) - block.sum(axis=1).mean())) >= 0
 
 
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_mca_matches_the_correspondence_analysis_oracle(data):
+    if data.draw(st.booleans(), label="exact tie"):
+        block = np.tile(MCA_FIXTURE, (data.draw(st.integers(1, 4), label="copies"), 1))
+    else:
+        shape = (data.draw(st.integers(2, 80), label="rows"), data.draw(st.integers(1, 5)))
+        block = data.draw(
+            arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0]), fill=st.nothing()),
+            label="block",
+        )
+        assume(np.ptp(block, axis=0).all())
+    # repeating every column keeps a tie
+    block = np.repeat(block, data.draw(st.integers(1, 3), label="repeats"), axis=1)
+    block = block[data.draw(st.permutations(range(len(block))), label="row order")]
+    with np.errstate(invalid="ignore"):
+        oracle, oracle_share = mca_oracle_first_dimension(block)
+    sums = block.sum(axis=1) - block.sum(axis=1).mean()
+    # row sums orthogonal to the leading eigenspace pin no direction in it (the
+    # oracle's is NaN or noise there)
+    assume(abs(oracle @ sums) > 1e-6 * np.sqrt(len(block)) * np.linalg.norm(sums))
+    scores, share = mca_first_dimension(block)
+    assert min(np.abs(scores - oracle).max(), np.abs(scores + oracle).max()) <= 1e-9
+    assert abs(share - oracle_share) <= 1e-12
+
+
 def test_prepare_collapses_mca_block_to_named_column(tmp_path):
     rng = np.random.default_rng(1)
     q = (rng.random((30, 3)) > 0.5).astype(int)
@@ -657,9 +690,11 @@ def test_prepare_collapses_mca_block_to_named_column(tmp_path):
 def reference_prepare(raw, spec, policy):
     """The prepared matrix built column by column: a copy of the selection,
     the policy applied to it, then ``np.column_stack`` of each standardized
-    indicator or MCA score."""
+    indicator or MCA score. Under ``mean``, an MCA block with a missing cell
+    is refused."""
     selected = [raw.header.index(col) for block in spec.blocks for col in block.indicators]
     sub = raw.values[:, selected]
+    incomplete = np.isnan(sub).any(axis=0)
     if policy == "listwise":
         sub = sub[~np.isnan(sub).any(axis=1)]
     else:
@@ -674,8 +709,14 @@ def reference_prepare(raw, spec, policy):
     columns, cursor = [], 0
     for block in spec.blocks:
         values = sub[:, cursor:cursor + len(block.indicators)]
+        gaps = incomplete[cursor:cursor + len(block.indicators)].any()
         cursor += len(block.indicators)
         if block.mode == "mca-single-item":
+            if policy == "mean" and gaps:
+                raise DataError(
+                    f"mca block '{block.name}' has missing cells: mean imputation cannot "
+                    "fill 0/1 items, the 'listwise' missing policy can"
+                )
             columns.append(standardize_column(mca_first_dimension(values)[0], block.name))
         else:
             columns.extend(
@@ -704,7 +745,7 @@ def test_prepare_blocks_equals_the_column_stack_reference(draw):
     binary = draw.draw(cells(2, st.sampled_from([0.0, 1.0])), label="binary")
     values = np.column_stack([real, binary])
     missing = draw.draw(cells(8, st.sampled_from([1.0] + [0.0] * 11)), label="missing") == 1.0
-    # an imputed mean is not binary, so MCA columns under "mean" are mostly complete
+    # "mean" refuses an MCA block with a missing cell, so MCA columns are mostly complete
     missing[:, 6:] &= draw.draw(st.booleans(), label="binary cells missing")
     values[missing] = np.nan
     header = tuple(f"r{j}" for j in range(6)) + ("q0", "q1")
@@ -754,4 +795,23 @@ def test_prepare_blocks_peaks_below_two_and_a_half_tables(policy):
     peak = traced_peak_tables(lambda: prepared.append(prepare_blocks(raw, PAPER_BLOCKS, policy)),
                               held=TABLE_BYTES)
     assert prepared[0].matrix.shape[1] == TABLE_SHAPE[1]
+    assert peak < 2.5
+
+
+@pytest.mark.parametrize("policy", ["listwise", "mean"])
+def test_prepare_blocks_with_an_mca_block_peaks_below_two_and_a_half_tables(policy):
+    # block C of three 0/1 items collapses to one MCA score column
+    rng = np.random.default_rng(0)
+    values = rng.standard_normal(TABLE_SHAPE)
+    values[:, 8:] = rng.random((TABLE_SHAPE[0], 3)) < [0.3, 0.5, 0.6]
+    values[::97, 3] = np.nan
+    raw = RawTable(tuple(f"x{j}" for j in range(TABLE_SHAPE[1])), values)
+    blocks = [{"name": "A", "indicators": [f"x{j}" for j in range(4)]},
+              {"name": "B", "indicators": [f"x{j}" for j in range(4, 8)]},
+              {"name": "C", "mode": "mca-single-item", "indicators": ["x8", "x9", "x10"]}]
+    spec = parse_model({"blocks": blocks})
+    prepared = []
+    peak = traced_peak_tables(lambda: prepared.append(prepare_blocks(raw, spec, policy)),
+                              held=TABLE_BYTES)
+    assert prepared[0].columns[-1] == "C"
     assert peak < 2.5
