@@ -194,7 +194,6 @@ def reinforcement_test(
     t = |beta_se - beta_ce| / sqrt(((n-1)/n) (sigma_se^2 + sigma_ce^2)), with
     Welch-Satterthwaite style degrees of freedom truncated to an integer:
     df = floor(
-
         (((n-1)/n) (sigma_se^2 + sigma_ce^2))^2
         / (((n-1)/n^2) (sigma_se^4 + sigma_ce^4))
     ),

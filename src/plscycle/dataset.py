@@ -536,7 +536,12 @@ def mca_first_dimension(block: np.ndarray) -> tuple[np.ndarray, float]:
     first dimension is pinned inside the tied eigenspace as the direction of
     maximal correlation with the row sums; this extends the orientation rule
     from a sign choice to a basis choice, making the result independent of
-    the eigensolver's arbitrary basis for degenerate eigenvalues.
+    the eigensolver's arbitrary basis for degenerate eigenvalues. Where the
+    row sums pin nothing, the items do: a tied eigenspace orthogonal to them
+    takes its projection of the first item axis it reaches (length above
+    1e-6), and a first dimension uncorrelated with them (|v_1 . X'c| at most
+    1e-9 ||X'c|| for the centered row sums c) makes its largest item loading
+    positive, the lowest index among loadings equal within 1e-9.
 
     Returns (scores, share of total inertia carried by the first dimension).
     Scores have mean 0 and unit population variance.
@@ -567,7 +572,14 @@ def mca_first_dimension(block: np.ndarray) -> tuple[np.ndarray, float]:
         norm = np.linalg.norm(dots)
         if norm > 1e-12:
             axis = vecs[:, tied] @ (dots / norm)
-    if axis @ along_sums < 0:
+        else:
+            reach = np.linalg.norm(vecs[:, tied], axis=1)  # each item axis's projection
+            j = np.flatnonzero(reach > 1e-6)[0]
+            axis = vecs[:, tied] @ vecs[j, tied] / reach[j]
+    along = axis @ along_sums
+    if abs(along) <= 1e-9 * np.linalg.norm(along_sums):
+        along = axis[np.flatnonzero(np.abs(axis) >= np.abs(axis).max() * (1.0 - _TIE_RTOL))[0]]
+    if along < 0:
         axis = -axis
     coef = axis * n / scale / np.sqrt(lam[0])
     return block @ coef - ones @ coef / n, float(lam[0] / q)

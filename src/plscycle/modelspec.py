@@ -117,6 +117,7 @@ def _load_document(document: str | Mapping, kind: str) -> Mapping:
 
 
 def _parse_block(obj: object, seen_names: set[str], seen_indicators: set[str]) -> BlockSpec:
+    """Check one block against the blocks before it and record its names in the ``seen`` sets."""
     if not isinstance(obj, Mapping):
         raise ModelError("each block must be an object")
     _check_keys(obj, _BLOCK_KEYS, "block")
@@ -139,22 +140,27 @@ def _parse_block(obj: object, seen_names: set[str], seen_indicators: set[str]) -
         indicators.append(col)
     if mode == "single-item" and len(indicators) != 1:
         raise ModelError(f"single-item block '{name}' must declare exactly one indicator")
+    seen_names.add(name)
+    seen_indicators.update(indicators)
     return BlockSpec(name=name, indicators=tuple(indicators), mode=mode)
 
 
-def _parse_path(obj: object, names: set[str], seen: set[tuple[str, str]]) -> PathSpec:
+def _parse_path(obj: object, names: set[str], seen: set[tuple[str, str]],
+                keys: set[str] = _PATH_KEYS, where: str = "path") -> PathSpec:
+    """Check one ``where`` entry against the construct ``names`` and record it in ``seen``."""
     if not isinstance(obj, Mapping):
-        raise ModelError("each path must be an object")
-    _check_keys(obj, _PATH_KEYS, "path")
-    source = _require_str(obj.get("source"), "path source")
-    target = _require_str(obj.get("target"), "path target")
+        raise ModelError(f"each {where} must be an object")
+    _check_keys(obj, keys, where)
+    source = _require_str(obj.get("source"), f"{where} source")
+    target = _require_str(obj.get("target"), f"{where} target")
     for endpoint in (source, target):
         if endpoint not in names:
-            raise ModelError(f"path references unknown construct '{endpoint}'")
+            raise ModelError(f"{where} references unknown construct '{endpoint}'")
     if source == target:
-        raise ModelError(f"path source equals target '{source}'")
+        raise ModelError(f"{where} source equals target '{source}'")
     if (source, target) in seen:
-        raise ModelError(f"duplicate path {source} -> {target}")
+        raise ModelError(f"duplicate {where} {source} -> {target}")
+    seen.add((source, target))
     return PathSpec(source=source, target=target)
 
 
@@ -172,24 +178,15 @@ def parse_model(document: str | Mapping) -> ModelSpec:
     raw_blocks = obj.get("blocks")
     if not _is_list(raw_blocks) or not raw_blocks:
         raise ModelError("model document must declare a non-empty 'blocks' list")
-    blocks: list[BlockSpec] = []
     seen_names: set[str] = set()
     seen_indicators: set[str] = set()
-    for raw in raw_blocks:
-        block = _parse_block(raw, seen_names, seen_indicators)
-        blocks.append(block)
-        seen_names.add(block.name)
-        seen_indicators.update(block.indicators)
+    blocks = [_parse_block(raw, seen_names, seen_indicators) for raw in raw_blocks]
 
     raw_paths = obj.get("paths", [])
     if not _is_list(raw_paths):
         raise ModelError("'paths' must be a list")
-    paths: list[PathSpec] = []
     seen_edges: set[tuple[str, str]] = set()
-    for raw in raw_paths:
-        path = _parse_path(raw, seen_names, seen_edges)
-        paths.append(path)
-        seen_edges.add((path.source, path.target))
+    paths = [_parse_path(raw, seen_names, seen_edges) for raw in raw_paths]
 
     scheme = obj.get("scheme", "path")
     if scheme not in SCHEMES:

@@ -10,7 +10,7 @@ renderer consumes the same dict so both outputs always agree; text rounds to
 from __future__ import annotations
 
 from dataclasses import asdict
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .assessment import ReliabilityReport
 from .cyclic import CyclicFit, TestResult
@@ -178,124 +178,87 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _table(header: list[str], rows: list[list[object]]) -> list[str]:
+def _table(header: list[str], rows: Iterable[Iterable[object]]) -> list[str]:
     cells = [[_fmt(v) for v in row] for row in rows]
-    widths = [
-        max(len(header[j]), *(len(r[j]) for r in cells)) if cells else len(header[j])
-        for j in range(len(header))
-    ]
+    widths = [max(len(h), *(len(r[j]) for r in cells)) for j, h in enumerate(header)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return lines
+    return lines + ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
 
 
 def render_text(report: dict) -> str:
-    """Aligned-text view of a run report, 3-decimal rounding throughout."""
-    out: list[str] = []
-    tool = report["tool"]
-    out.append(f"{tool['name']} {tool['version']}  (seed {report['seed']})")
-    data = report["data"]
-    out.append(
-        f"rows read: {data['n_rows']}, rows used: {data['n_effective']}, "
-        f"missing policy: {data['missing_policy']}"
-    )
-    out.append("")
+    """Aligned-text view of a run report, 3-decimal rounding throughout.
 
-    fit = report["fit"]
+    The view is a list of sections, each a list of lines, with one blank line
+    between sections.
+    """
+    tool, data, fit = report["tool"], report["data"], report["fit"]
     status = "converged" if fit["converged"] else "did not converge"
-    out.append(f"fit: {status} after {fit['iterations']} iterations")
-    out.append("")
-
-    rows = []
-    for name, weights in fit["weights"].items():
-        for col in weights:
-            rows.append(
-                [name, col, weights[col], fit["loadings"][name][col]["estimate"]]
+    sections = [
+        [
+            f"{tool['name']} {tool['version']}  (seed {report['seed']})",
+            f"rows read: {data['n_rows']}, rows used: {data['n_effective']}, "
+            f"missing policy: {data['missing_policy']}",
+        ],
+        [f"fit: {status} after {fit['iterations']} iterations"],
+        _table(
+            ["Construct", "Indicator", "Weight", "Loading"],
+            (
+                [name, col, weight, fit["loadings"][name][col]["estimate"]]
+                for name, weights in fit["weights"].items()
+                for col, weight in weights.items()
+            ),
+        ),
+    ]
+    if fit["paths"]:
+        has_ci = any("ci" in p for p in fit["paths"])
+        sections.append(
+            _table(
+                ["Path", "Estimate"] + (["SE", "CI low", "CI high", "Sig"] if has_ci else []),
+                (
+                    [f"{p['source']} -> {p['target']}", p["estimate"]]
+                    + ([p["se"], *p["ci"], p["significant"]] if has_ci else [])
+                    for p in fit["paths"]
+                ),
             )
-    out.extend(_table(["Construct", "Indicator", "Weight", "Loading"], rows))
-    out.append("")
-
-    has_ci = any("ci" in p for p in fit["paths"])
-    header = ["Path", "Estimate"] + (["SE", "CI low", "CI high", "Sig"] if has_ci else [])
-    rows = []
-    for p in fit["paths"]:
-        row: list[object] = [f"{p['source']} -> {p['target']}", p["estimate"]]
-        if has_ci:
-            row += [p["se"], p["ci"][0], p["ci"][1], p["significant"]]
-        rows.append(row)
-    if rows:
-        out.extend(_table(header, rows))
-        out.append("")
-        out.extend(_table(["Construct", "R-squared"], list(map(list, fit["r_squared"].items()))))
-        out.append("")
-
+        )
+        sections.append(_table(["Construct", "R-squared"], fit["r_squared"].items()))
     if "mca" in report:
-        shares = report["mca"]["inertia_shares"]
-        out.extend(_table(["Construct", "First-dimension inertia share"], list(map(list, shares.items()))))
-        out.append("")
-
+        shares = report["mca"]["inertia_shares"].items()
+        sections.append(_table(["Construct", "First-dimension inertia share"], shares))
     if "assessment" in report:
-        rows = []
-        for c in report["assessment"]["constructs"]:
-            rows.append(
-                [
-                    c["construct"],
-                    c["mode"],
-                    c.get("alpha", "-"),
-                    c.get("composite_reliability", "-"),
-                    c.get("dijkstra_rho_a", "-"),
-                    c.get("ave", "-"),
-                    c["flags"]["unidimensionality"],
-                ]
-            )
-        out.extend(
+        reliability = ("alpha", "composite_reliability", "dijkstra_rho_a", "ave")
+        sections.append(
             _table(
                 ["Construct", "Mode", "Alpha", "CR", "rho_A", "AVE", "Dimensionality"],
-                rows,
+                (
+                    [c["construct"], c["mode"], *(c.get(k, "-") for k in reliability)]
+                    + [c["flags"]["unidimensionality"]]
+                    for c in report["assessment"]["constructs"]
+                ),
             )
         )
-        out.append("")
-
     if "bootstrap" in report:
         b = report["bootstrap"]
-        out.append(
-            f"bootstrap: {b['effective']}/{b['requested']} replicates "
-            f"({b['failures']} failed), level {b['level']:g}"
-        )
-        out.append("")
-
+        replicates = f"{b['effective']}/{b['requested']} replicates ({b['failures']} failed)"
+        sections.append([f"bootstrap: {replicates}, level {b['level']:g}"])
     if "cyclic" in report:
         cyc = report["cyclic"]
-        out.append(f"cyclic source: {cyc['source']} (step-1 score column {cyc['score_column']})")
-        rows = []
-        notes: list[str] = []
-        for pair in cyc["pairs"]:
-            label = f"{pair['target']} <=> {cyc['source']}"
-            if "skipped_reason" in pair:
-                notes.append(f"{label}: skipped ({pair['skipped_reason']})")
-                continue
-            rows.append(
-                [
-                    label,
-                    pair["beta_se"],
-                    pair["beta_ce"],
-                    pair["abs_diff"],
-                    pair["t"],
-                    pair["p"],
-                ]
-            )
-            notes.append(
-                f"{label}: {pair['decision']} (direction {pair['direction']}, df {pair['df']})"
-            )
-        if rows:
-            out.extend(
-                _table(
-                    ["Effects", "SE", "CE", "Abs (diff.)", "t-statistic", "p-value"],
-                    rows,
-                )
-            )
-        out.extend(notes)
-        out.append("")
-
-    return "\n".join(out).rstrip() + "\n"
+        labelled = [(f"{p['target']} <=> {cyc['source']}", p) for p in cyc["pairs"]]
+        tested = [
+            [label, p["beta_se"], p["beta_ce"], p["abs_diff"], p["t"], p["p"]]
+            for label, p in labelled
+            if "skipped_reason" not in p
+        ]
+        header = ["Effects", "SE", "CE", "Abs (diff.)", "t-statistic", "p-value"]
+        notes = [
+            f"{label}: skipped ({p['skipped_reason']})"
+            if "skipped_reason" in p
+            else f"{label}: {p['decision']} (direction {p['direction']}, df {p['df']})"
+            for label, p in labelled
+        ]
+        sections.append(
+            [f"cyclic source: {cyc['source']} (step-1 score column {cyc['score_column']})"]
+            + (_table(header, tested) if tested else [])
+            + notes
+        )
+    return "\n\n".join("\n".join(lines) for lines in sections) + "\n"

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataset import RawTable
 from .errors import ModelError
-from .modelspec import _check_keys, _is_list, _load_document, _require_str, _wave_order
+from .modelspec import _check_keys, _is_list, _load_document, _parse_path, _require_str, _wave_order
 
 _KINDS = ("acyclic", "cyclic")
 
@@ -282,17 +282,12 @@ def parse_population(document: str | Mapping) -> tuple[PopulationSpec, str]:
     raw_paths = obj.get("paths", [])
     if not _is_list(raw_paths):
         raise ModelError("population 'paths' must be a list")
+    seen: set[tuple[str, str]] = set()
     for raw in raw_paths:
-        if not isinstance(raw, Mapping):
-            raise ModelError("each population path must be an object")
-        _check_keys(raw, {"source", "target", "coefficient"}, "population path")
-        source, target = raw.get("source"), raw.get("target")
-        if source not in index or target not in index:
-            raise ModelError("population path references an unknown construct")
-        if source == target:
-            raise ModelError("population path source equals target")
-        b[index[target], index[source]] = _number(
-            raw.get("coefficient", 0.0), f"coefficient of path {source} -> {target}"
+        path = _parse_path(raw, set(index), seen, {"source", "target", "coefficient"},
+                           "population path")
+        b[index[path.target], index[path.source]] = _number(
+            raw.get("coefficient", 0.0), f"coefficient of path {path.source} -> {path.target}"
         )
     n = obj.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:

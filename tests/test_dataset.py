@@ -622,6 +622,38 @@ def test_mca_rejects_non_binary_and_constant_variables():
         mca_first_dimension(np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "rows, rotate",
+    [
+        # anti-correlated items of equal prevalence: the first dimension is
+        # uncorrelated with the row sums
+        ([[1, 0], [0, 1], [1, 0], [0, 1], [1, 1], [0, 0]], False),
+        # a tied first eigenspace orthogonal to the row sums
+        ([[0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]], True),
+    ],
+)
+def test_mca_orientation_does_not_depend_on_the_eigensolver(monkeypatch, rows, rotate):
+    block = np.array(rows, dtype=float)
+    scores, share = mca_first_dimension(block)
+    eigh = np.linalg.eigh
+
+    def other_basis(corr):
+        lam, vecs = eigh(corr)
+        vecs = -vecs
+        if rotate:  # any orthonormal basis of the tied top pair is as good
+            c, s = np.cos(0.7), np.sin(0.7)
+            vecs[:, -2:] = vecs[:, -2:] @ np.array([[c, -s], [s, c]])
+        return lam, vecs
+
+    monkeypatch.setattr(dataset.np.linalg, "eigh", other_basis)
+    again, share_again = mca_first_dimension(block)
+    assert np.abs(again - scores).max() <= 1e-12
+    assert share_again == share
+    # the first item's loading is the lowest-index largest one, made positive
+    first_item_only = (block[:, 0] == 1) & (block[:, 1:].sum(axis=1) == 0)
+    assert (scores[first_item_only] > 0).all()
+
+
 @given(st.integers(0, 2**32))
 def test_mca_share_is_a_fraction_and_scores_follow_row_sums(seed):
     rng = np.random.default_rng(seed)
@@ -630,7 +662,10 @@ def test_mca_share_is_a_fraction_and_scores_follow_row_sums(seed):
     block[1] = 1.0
     scores, share = mca_first_dimension(block)
     assert 0.0 < share <= 1.0 + 1e-12
-    assert float(np.dot(scores, block.sum(axis=1) - block.sum(axis=1).mean())) >= 0
+    sums = block.sum(axis=1) - block.sum(axis=1).mean()
+    # 0 up to rounding when the first dimension is uncorrelated with the row
+    # sums, and its item loadings orient it instead
+    assert float(np.dot(scores, sums)) >= -1e-9 * np.linalg.norm(scores) * np.linalg.norm(sums)
 
 
 @given(st.data())

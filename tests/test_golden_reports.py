@@ -6,8 +6,13 @@ simulated CSV must hash to the recorded digest, the JSON report must match
 the reference within ``perfbench/checks.DRIFT``, and the text report must be
 byte-identical. The traced benchmark's reading of the package is checked on
 the same inputs. ``perfbench/`` is only read.
+
+The text renderer is also pinned on 64 variants of each toy reference
+report, one for each combination of the report features it branches on; their
+SHA-256 digests are recorded in ``render_text_digests.json``.
 """
 
+import copy
 import hashlib
 import importlib
 import json
@@ -17,9 +22,11 @@ import pytest
 
 from plscycle import cli
 from plscycle.cli import main
+from plscycle.report import render_text
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 REFERENCE = PERFBENCH / "reference"
+RENDER_DIGESTS = Path(__file__).with_name("render_text_digests.json")
 
 
 @pytest.fixture
@@ -72,3 +79,44 @@ def test_the_benchmark_reads_the_bootstrap_and_set_up_names_of_the_cli(
     assert 95 <= result.b_effective <= 100
     for hook in run.STEPS.values():
         assert callable(getattr(cli, hook))
+
+
+def _report_shapes(report: dict):
+    """The 64 variants of ``report``, one for each set of the six changes below."""
+    for bits in range(64):
+        shape = copy.deepcopy(report)
+        for bit, key in ((1, "assessment"), (2, "bootstrap"), (4, "cyclic")):
+            if bits & bit:
+                shape.pop(key, None)
+        fit, cyc = shape["fit"], shape.get("cyclic", {"pairs": []})
+        if bits & 8:  # paths without bootstrap statistics
+            for path in fit["paths"]:
+                for key in ("se", "ci", "significant"):
+                    del path[key]
+        if bits & 16:  # no structural paths
+            fit["paths"] = []
+        if bits & 32:  # a fit that did not converge, and no MCA section
+            fit["converged"] = False
+            shape.pop("mca", None)
+        for i, pair in enumerate(cyc["pairs"]):
+            # without paths no pair can be tested; bit 32 skips every other pair
+            if bits & 16 or (bits & 32 and i % 2 == 0):
+                cyc["pairs"][i] = {
+                    "target": pair["target"],
+                    "beta_ce": pair["beta_ce"],
+                    "sigma_ce": pair["sigma_ce"],
+                    "skipped_reason": f"no direct sequential path {pair['target']} -> {cyc['source']}",
+                }
+        yield shape
+
+
+@pytest.mark.parametrize("workload", ["paper_cyclic", "survey_wide"])
+def test_render_text_of_every_report_shape_matches_its_recorded_digest(workload):
+    reference = json.loads((REFERENCE / "toy" / f"{workload}.report.json").read_text(encoding="utf-8"))
+    recorded = json.loads(RENDER_DIGESTS.read_text(encoding="utf-8"))[workload]
+    digests = [
+        hashlib.sha256(render_text(shape).encode("utf-8")).hexdigest()
+        for shape in _report_shapes(reference)
+    ]
+    assert len(digests) == len(recorded) == 64
+    assert [i for i, (got, want) in enumerate(zip(digests, recorded)) if got != want] == []

@@ -287,6 +287,14 @@ def test_parse_population_full_document():
             lambda d: d["constructs"].append({"name": "A", "loadings": [0.5]}),
             "duplicate construct",
         ),
+        (
+            lambda d: d["paths"][0].update(source=["A"]),
+            "population path source must be a non-empty string",
+        ),
+        (
+            lambda d: d["paths"].append({"source": "A", "target": "B", "coefficient": 0.6}),
+            "duplicate population path A -> B",
+        ),
         (lambda d: d.update(paths=5), "'paths' must be a list"),
         (lambda d: d.update(paths="AB"), "'paths' must be a list"),
         (
