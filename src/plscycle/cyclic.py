@@ -46,6 +46,10 @@ class TestResult:
     p_value: float
     direction: str
     decision: str
+    beta_se: float
+    beta_ce: float
+    sigma_se: float
+    sigma_ce: float
 
 
 def score_column_name(source: str) -> str:
@@ -158,26 +162,24 @@ def reinforcement_tests(
     Each cyclic coefficient source -> target is compared with its mirror
     target -> source using the bootstrap standard errors of both (``boot`` is
     a ``BootstrapResult`` of the cyclic model). A pair without a direct
-    mirror, or whose test cannot be computed, maps to its skip reason. The
-    tails come from one ``t_cdf`` call, which ``helper``, a pipe to a forked
-    ``t_cdf_helper``, answers if given.
+    mirror, or whose standard errors cannot be tested, maps to its skip
+    reason. The tails come from one ``t_cdf`` call, which ``helper``, a pipe
+    to a forked ``t_cdf_helper``, answers if given.
     """
-    tests, welch = {}, {}
+    tests, testable = {}, {}
     for pair, beta_ce in cyc.cyclic_paths.items():
         source, target = pair
         beta_se = cyc.paired_sequential[pair]
         if beta_se is None:
             tests[pair] = f"no direct sequential path {target} -> {source}"
             continue
-        sigma_se, sigma_ce = boot.paths[(target, source)].se, boot.cyclic_paths[pair].se
-        try:
-            tests[pair] = welch[pair] = _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
-        except ValueError as exc:
-            tests[pair] = f"test not computable: {exc}"
-    if welch:
-        _, df, x = np.array(list(welch.values()), dtype=np.float64).T
-        for (pair, (t, df_pair, _)), cdf_x in zip(welch.items(), t_cdf(df, x, helper)):
-            tests[pair] = _decide(t, df_pair, cdf_x, direction)
+        sigmas = boot.paths[(target, source)].se, boot.cyclic_paths[pair].se
+        if problem := _why_untestable(*sigmas):
+            tests[pair] = f"test not computable: {problem}"
+        else:
+            tests[pair] = testable[pair] = (beta_se, beta_ce, *sigmas)  # holds its place
+    pairs = np.array(list(testable.values()), dtype=np.float64).reshape(-1, 4).T
+    tests.update(zip(testable, _welch(pairs, n, direction, helper)))
     return tests
 
 
@@ -201,36 +203,39 @@ def reinforcement_test(
     one-sided p uses the signed difference, so equal coefficients give
     p = 0.5; ``two_sided`` doubles the upper tail of |t|.
     """
-    t, df, x = _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction)
-    return _decide(t, df, t_cdf(df, x), direction)
+    if problem := _why_untestable(sigma_se, sigma_ce):
+        raise ValueError(problem)
+    return _welch(np.array([beta_se, beta_ce, sigma_se, sigma_ce], float)[:, None], n, direction)[0]
 
 
-def _welch(beta_se, beta_ce, sigma_se, sigma_ce, n, direction) -> tuple[float, int, float]:
-    """t, df and the x whose ``t_cdf(df, x)`` is the p-value, or its half if two-sided."""
+def _why_untestable(*sigmas: float) -> str | None:
+    if not all(map(math.isfinite, sigmas)):
+        return "standard errors must be finite"
+    return "standard errors must be positive" if min(sigmas) <= 0 else None
+
+
+def _welch(pairs: np.ndarray, n: int, direction: str, helper=None) -> list[TestResult]:
+    """The test of each column of ``pairs``: beta_se, beta_ce, sigma_se and sigma_ce."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction '{direction}'")
-    if sigma_se <= 0 or sigma_ce <= 0:
-        raise ValueError("standard errors must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    c = (n - 1) / n
-    var_se = sigma_se**2
-    var_ce = sigma_ce**2
-    pooled = c * (var_se + var_ce)
-    t = abs(beta_se - beta_ce) / math.sqrt(pooled)
+    beta_se, beta_ce, sigma_se, sigma_ce = pairs
+    var_se, var_ce = sigma_se**2, sigma_ce**2
+    pooled = (n - 1) / n * (var_se + var_ce)
+    t = np.abs(beta_se - beta_ce) / np.sqrt(pooled)
     ratio = pooled**2 / (((n - 1) / n**2) * (var_se**2 + var_ce**2))
     # guard the floor against float rounding at integer boundaries, so the
     # equal-sigma case lands exactly on 2(n-1)
-    df = max(1, int(math.floor(ratio * (1.0 + 1e-12) + 1e-9)))
+    df = np.maximum(1.0, np.floor(ratio * (1.0 + 1e-12) + 1e-9))
     # stdtr(df, -s) is how scipy.stats.t.sf(s, df) takes the upper tail at the
     # signed difference s; negating a difference or a quotient is exact
     diff = beta_se - beta_ce if direction == "ce_gt_se" else beta_ce - beta_se
-    return t, df, -t if direction == "two_sided" else diff / math.sqrt(pooled)
-
-
-def _decide(t: float, df: int, cdf_x, direction: str) -> TestResult:
-    p = float(2.0 * cdf_x) if direction == "two_sided" else float(cdf_x)
-    decision = "reject" if p < ALPHA else "retain"
-    return TestResult(
-        t_statistic=float(t), df=df, p_value=p, direction=direction, decision=decision
-    )
+    x = -t if direction == "two_sided" else diff / np.sqrt(pooled)
+    cdf = t_cdf(df, x, helper) if x.size else x
+    p = 2.0 * cdf if direction == "two_sided" else cdf
+    return [
+        TestResult(float(t_k), int(df_k), float(p_k), direction,
+                   "reject" if p_k < ALPHA else "retain", *map(float, column))
+        for t_k, df_k, p_k, column in zip(t, df, p, pairs.T)
+    ]

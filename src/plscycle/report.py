@@ -76,34 +76,15 @@ def _plain(value: object) -> object:
     return value
 
 
-def _pair_entries(
-    cyc: CyclicFit,
-    boot: BootstrapResult,
-    tests: Mapping[tuple[str, str], TestResult | str],
-) -> list[dict]:
-    pairs = []
-    for (source, target), beta_ce in cyc.cyclic_paths.items():
-        entry: dict = {"target": target, "beta_ce": float(beta_ce)}
-        entry["sigma_ce"] = float(boot.cyclic_paths[(source, target)].se)
-        outcome = tests[(source, target)]
-        if isinstance(outcome, str):
-            entry["skipped_reason"] = outcome
-        else:
-            beta_se = float(cyc.paired_sequential[(source, target)])
-            entry.update(
-                {
-                    "beta_se": beta_se,
-                    "abs_diff": abs(beta_se - float(beta_ce)),
-                    "sigma_se": float(boot.paths[(target, source)].se),
-                    "t": float(outcome.t_statistic),
-                    "df": int(outcome.df),
-                    "p": float(outcome.p_value),
-                    "direction": outcome.direction,
-                    "decision": outcome.decision,
-                }
-            )
-        pairs.append(entry)
-    return pairs
+def _pair_entry(target: str, beta_ce: float, sigma_ce: float, outcome: TestResult | str) -> dict:
+    entry = {"target": target, "beta_ce": float(beta_ce), "sigma_ce": float(sigma_ce)}
+    if isinstance(outcome, str):
+        return {**entry, "skipped_reason": outcome}
+    return {
+        **entry, "beta_se": outcome.beta_se, "abs_diff": abs(outcome.beta_se - outcome.beta_ce),
+        "sigma_se": outcome.sigma_se, "t": outcome.t_statistic, "df": outcome.df,
+        "p": outcome.p_value, "direction": outcome.direction, "decision": outcome.decision,
+    }
 
 
 def build_run_report(
@@ -165,7 +146,10 @@ def build_run_report(
             "score_column": cyclic.score_column,
             "targets": targets,
             "step2": _fit_section(cyclic.step2_fit, step2_columns, boot.cyclic_paths, {}),
-            "pairs": _pair_entries(cyclic, boot, tests),
+            "pairs": [
+                _pair_entry(t, beta_ce, boot.cyclic_paths[(source, t)].se, tests[(source, t)])
+                for (_, t), beta_ce in cyclic.cyclic_paths.items()
+            ],
         }
     return report
 
@@ -185,6 +169,11 @@ def _table(header: list[str], rows: Iterable[Iterable[object]]) -> list[str]:
     return lines + ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() for r in cells]
 
 
+def _in_order(mapping: Mapping, order: list[str]) -> list[tuple]:
+    """``mapping``'s items in ``order``, which JSON does not keep; an MCA score column first."""
+    return sorted(mapping.items(), key=lambda kv: order.index(kv[0]) if kv[0] in order else -1)
+
+
 def render_text(report: dict) -> str:
     """Aligned-text view of a run report, 3-decimal rounding throughout.
 
@@ -193,6 +182,7 @@ def render_text(report: dict) -> str:
     """
     tool, data, fit = report["tool"], report["data"], report["fit"]
     status = "converged" if fit["converged"] else "did not converge"
+    model = {b["name"]: b["indicators"] for b in report["model"]["blocks"]}
     sections = [
         [
             f"{tool['name']} {tool['version']}  (seed {report['seed']})",
@@ -204,8 +194,8 @@ def render_text(report: dict) -> str:
             ["Construct", "Indicator", "Weight", "Loading"],
             (
                 [name, col, weight, fit["loadings"][name][col]["estimate"]]
-                for name, weights in fit["weights"].items()
-                for col, weight in weights.items()
+                for name, declared in model.items()
+                for col, weight in _in_order(fit["weights"][name], declared)
             ),
         ),
     ]
@@ -221,9 +211,9 @@ def render_text(report: dict) -> str:
                 ),
             )
         )
-        sections.append(_table(["Construct", "R-squared"], fit["r_squared"].items()))
+        sections.append(_table(["Construct", "R-squared"], _in_order(fit["r_squared"], [*model])))
     if "mca" in report:
-        shares = report["mca"]["inertia_shares"].items()
+        shares = _in_order(report["mca"]["inertia_shares"], [*model])
         sections.append(_table(["Construct", "First-dimension inertia share"], shares))
     if "assessment" in report:
         reliability = ("alpha", "composite_reliability", "dijkstra_rho_a", "ave")

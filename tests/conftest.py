@@ -38,6 +38,32 @@ def make_prepared(matrix: np.ndarray, spec) -> PreparedData:
     )
 
 
+# two two-indicator blocks whose indicators load unevenly: step 1 needs 8
+# iterations, and neither step converges within one
+UNEVEN_MODEL = {
+    "blocks": [
+        {"name": "A", "indicators": ["a1", "a2"]},
+        {"name": "M", "mode": "single-item", "indicators": ["m"]},
+        {"name": "Y", "indicators": ["y1", "y2"]},
+    ],
+    "paths": [
+        {"source": "A", "target": "M"},
+        {"source": "M", "target": "Y"},
+        {"source": "A", "target": "Y"},
+    ],
+    "cyclic": {"source": "Y", "targets": ["A", "M"]},
+}
+UNEVEN_R = np.array(
+    [
+        [1.0, 0.5, 0.4, 0.2, 0.3],
+        [0.5, 1.0, 0.2, 0.4, 0.1],
+        [0.4, 0.2, 1.0, 0.45, 0.3],
+        [0.2, 0.4, 0.45, 1.0, 0.5],
+        [0.3, 0.1, 0.3, 0.5, 1.0],
+    ]
+)
+
+
 def point_fits(data, spec, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER) -> dict:
     """The point fits that ``bootstrap`` resamples, as its ``fit`` and ``cyclic`` arguments.
 

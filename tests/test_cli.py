@@ -18,7 +18,7 @@ from plscycle.cyclic import DIRECTIONS, reinforcement_tests
 from plscycle.dataset import RawTable, load_table
 from plscycle.errors import EstimationError
 
-from conftest import exact_correlation_sample, in_child_only
+from conftest import UNEVEN_MODEL, UNEVEN_R, exact_correlation_sample, in_child_only
 
 TRIANGLE_MODEL = {
     "blocks": [
@@ -123,6 +123,15 @@ def test_fit_bootstraps_only_the_sequential_model(tmp_path, capsys):
     assert report["fit"] == expected["fit"]
     assert main(["cyclic", "--model", model, *flags]) == 3
     assert "collides with a data column" in capsys.readouterr().err
+
+
+def test_weights_that_do_not_converge_exit_3(tmp_path, capsys):
+    model = write_model(tmp_path, UNEVEN_MODEL)
+    columns = ["a1", "a2", "m", "y1", "y2"]
+    data = write_csv(tmp_path, columns, exact_correlation_sample(UNEVEN_R, 400, seed=7))
+    flags = ["--model", model, "--data", data, "--bootstrap", "0", "--max-iter", "1"]
+    assert main(["fit", *flags]) == 3
+    assert "weights did not converge within 1 iterations" in capsys.readouterr().err
 
 
 def test_settings_echo_cli_choices(tmp_path, capsys):

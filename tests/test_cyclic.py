@@ -22,7 +22,7 @@ from plscycle import (
 )
 from plscycle import cyclic as cyclic_module
 
-from conftest import exact_correlation_sample, make_prepared, point_fits
+from conftest import UNEVEN_MODEL, UNEVEN_R, exact_correlation_sample, make_prepared, point_fits
 
 # per-coefficient standard errors backed out of the published t statistics
 # (equal-sigma inversion of the test formula at n = 151660)
@@ -206,12 +206,23 @@ def test_pairing_uses_direct_sequential_edge_only():
     assert cyc.paired_sequential[("X3", "X1")] is None  # only indirect path
 
 
-def test_reinforcement_tests_pair_each_cyclic_effect_with_its_mirror():
+def chain_fits_and_bootstrap():
+    """The chain model's step 1, step 2 and bootstrap: X3 -> X2 has a mirror, X3 -> X1 none."""
     spec = chain_spec(cyclic={"source": "X3"})
     data = make_prepared(exact_correlation_sample(CHAIN_R, 250, seed=3), spec)
     fit = fit_pls(data, spec)
     cyc = estimate_cyclic(data, fit, spec)
-    boot = bootstrap(data, spec, b=100, seed=1, fit=fit, cyclic=cyc)
+    return fit, cyc, bootstrap(data, spec, b=100, seed=1, fit=fit, cyclic=cyc)
+
+
+def with_mirror_se(boot, se):
+    """``boot`` with the standard error of the mirror path X2 -> X3 set to ``se``."""
+    mirror = dataclasses.replace(boot.paths[("X2", "X3")], se=se)
+    return dataclasses.replace(boot, paths={**boot.paths, ("X2", "X3"): mirror})
+
+
+def test_reinforcement_tests_pair_each_cyclic_effect_with_its_mirror():
+    fit, cyc, boot = chain_fits_and_bootstrap()
     tests = reinforcement_tests(cyc, boot, 250, direction="two_sided")
     assert list(tests) == [("X3", "X1"), ("X3", "X2")]
     assert tests[("X3", "X1")] == "no direct sequential path X1 -> X3"
@@ -223,11 +234,66 @@ def test_reinforcement_tests_pair_each_cyclic_effect_with_its_mirror():
         250,
         direction="two_sided",
     )
-    flat = dataclasses.replace(boot.paths[("X2", "X3")], se=0.0)
-    flat_boot = dataclasses.replace(boot, paths={**boot.paths, ("X2", "X3"): flat})
-    assert reinforcement_tests(cyc, flat_boot, 250)[("X3", "X2")] == (
+    assert reinforcement_tests(cyc, with_mirror_se(boot, 0.0), 250)[("X3", "X2")] == (
         "test not computable: standard errors must be positive"
     )
+
+
+def test_reinforcement_tests_reject_a_bad_direction_or_n():
+    _, cyc, boot = chain_fits_and_bootstrap()
+    with pytest.raises(ValueError, match="unknown direction 'greater'"):
+        reinforcement_tests(cyc, boot, 250, direction="greater")
+    with pytest.raises(ValueError, match="n must be at least 2"):
+        reinforcement_tests(cyc, boot, 1)
+
+
+@pytest.mark.parametrize("se", [math.inf, math.nan])
+def test_a_non_finite_standard_error_is_named_as_the_skip_reason(se):
+    _, cyc, boot = chain_fits_and_bootstrap()
+    tests = reinforcement_tests(cyc, with_mirror_se(boot, se), 250)
+    assert tests[("X3", "X2")] == "test not computable: standard errors must be finite"
+    for sigmas in ((se, 0.01), (0.01, se)):
+        with pytest.raises(ValueError, match="standard errors must be finite"):
+            reinforcement_test(0.1, 0.2, *sigmas, 100)
+
+
+def test_a_test_result_carries_the_pair_it_tested():
+    result = reinforcement_test(0.2, 0.5, 0.01, 0.03, 800)
+    assert (result.beta_se, result.beta_ce, result.sigma_se, result.sigma_ce) == (
+        0.2, 0.5, 0.01, 0.03
+    )
+    fit, cyc, boot = chain_fits_and_bootstrap()
+    tested = reinforcement_tests(cyc, boot, 250)[("X3", "X2")]
+    assert (tested.beta_se, tested.beta_ce, tested.sigma_se, tested.sigma_ce) == (
+        fit.paths[("X2", "X3")],
+        cyc.cyclic_paths[("X3", "X2")],
+        boot.paths[("X2", "X3")].se,
+        boot.cyclic_paths[("X3", "X2")].se,
+    )
+
+
+def test_reinforcement_tests_take_every_tail_from_one_t_cdf_call(monkeypatch):
+    _, cyc, boot = chain_fits_and_bootstrap()
+    calls, real = [], cyclic_module.t_cdf
+
+    def counted(df, x, helper=None):
+        calls.append(len(x))
+        return real(df, x, helper)
+
+    monkeypatch.setattr(cyclic_module, "t_cdf", counted)
+    reinforcement_tests(cyc, boot, 250)
+    assert calls == [1]  # X3 -> X1 has no mirror
+    reinforcement_tests(cyc, with_mirror_se(boot, 0.0), 250)
+    assert calls == [1]  # no pair is tested, so no tail is asked for
+
+
+def test_step_two_that_does_not_converge_raises():
+    spec = parse_model(UNEVEN_MODEL)
+    data = make_prepared(exact_correlation_sample(UNEVEN_R, 400, seed=7), spec)
+    fit = fit_pls(data, spec)
+    assert fit.converged
+    with pytest.raises(EstimationError, match="step-2 estimation did not converge in 1 iterations"):
+        estimate_cyclic(data, fit, spec, max_iter=1)
 
 
 def test_step_two_never_mutates_step_one():

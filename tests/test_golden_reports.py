@@ -7,6 +7,10 @@ the reference within ``perfbench/checks.DRIFT``, and the text report must be
 byte-identical. The traced benchmark's reading of the package is checked on
 the same inputs. ``perfbench/`` is only read.
 
+A report read back from its JSON file, whose keys ``cli`` writes sorted,
+renders to the same text: every reference JSON, toy and full size, renders
+to its ``.txt``, also with each table's keys reversed.
+
 The text renderer is also pinned on 64 variants of each toy reference
 report, one for each combination of the report features it branches on; their
 SHA-256 digests are recorded in ``render_text_digests.json``.
@@ -79,6 +83,24 @@ def test_the_benchmark_reads_the_bootstrap_and_set_up_names_of_the_cli(
     assert 95 <= result.b_effective <= 100
     for hook in run.STEPS.values():
         assert callable(getattr(cli, hook))
+
+
+def _reversed_keys(mapping: dict) -> dict:
+    return {k: mapping[k] for k in reversed(list(mapping))}
+
+
+@pytest.mark.parametrize("size", ["toy", "full"])
+@pytest.mark.parametrize("workload", ["paper_cyclic", "survey_wide"])
+def test_render_text_of_a_reference_report_is_its_text(size, workload):
+    report = json.loads((REFERENCE / size / f"{workload}.report.json").read_text(encoding="utf-8"))
+    text = (REFERENCE / size / f"{workload}.report.txt").read_text(encoding="utf-8")
+    assert render_text(report) == text
+    fit = report["fit"]
+    fit["weights"] = _reversed_keys({k: _reversed_keys(v) for k, v in fit["weights"].items()})
+    fit["r_squared"] = _reversed_keys(fit["r_squared"])
+    if "mca" in report:
+        report["mca"]["inertia_shares"] = _reversed_keys(report["mca"]["inertia_shares"])
+    assert render_text(report) == text
 
 
 def _report_shapes(report: dict):
