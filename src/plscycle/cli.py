@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .assessment import assess
-from .cyclic import DIRECTIONS, estimate_cyclic, reinforcement_tests, t_cdf_helper
-from .dataset import MISSING_POLICIES, _forked, load_table, prepare_blocks, write_table
+from .cyclic import DIRECTIONS, estimate_cyclic, reinforcement_tests
+from .dataset import MISSING_POLICIES, load_table, prepare_blocks, write_table
 from .errors import DataError, DataFileError, EstimationError, ModelError
 from .modelspec import SCHEMES, ModelSpec, parse_model, validate_model
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, fit_pls
@@ -184,21 +184,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.max_iter < 1:
         raise ValueError(f"--max-iter must be >= 1, got {args.max_iter}")
     data = _prepare(args, spec)
-    # a helper imports scipy.special (a quarter second) on another CPU as this one fits
-    with _forked(t_cdf_helper, cyclic and "scipy.special" not in sys.modules) as helper:
-        fit = fit_pls(data, spec, tol=args.tol, max_iter=args.max_iter)
-        if not fit.converged:
-            raise EstimationError(f"weights did not converge within {args.max_iter} iterations")
-        cyc = boot = tests = None
-        if cyclic:
-            cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)
-        if args.bootstrap > 0:
-            boot = bootstrap(
-                data, spec, args.bootstrap, level=args.level, seed=args.seed,
-                tol=args.tol, max_iter=args.max_iter, fit=fit, cyclic=cyc,
-            )
-        if cyclic:
-            tests = reinforcement_tests(cyc, boot, data.n_effective, args.direction, helper)
+    fit = fit_pls(data, spec, tol=args.tol, max_iter=args.max_iter)
+    if not fit.converged:
+        raise EstimationError(f"weights did not converge within {args.max_iter} iterations")
+    cyc = boot = tests = None
+    if cyclic:
+        cyc = estimate_cyclic(data, fit, spec, tol=args.tol, max_iter=args.max_iter)
+    if args.bootstrap > 0:
+        boot = bootstrap(
+            data, spec, args.bootstrap, level=args.level, seed=args.seed,
+            tol=args.tol, max_iter=args.max_iter, fit=fit, cyclic=cyc,
+        )
+    if cyclic:
+        tests = reinforcement_tests(cyc, boot, data.n_effective, args.direction)
     report = build_run_report(
         spec, data, fit,
         version=__version__, seed=args.seed, settings=_settings(args, spec),

@@ -10,12 +10,14 @@ comparison of the two coefficients built from bootstrap standard errors.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Moments, PreparedData, _ask
+from .dataset import Moments, PreparedData, _forked, _receive
 from .errors import EstimationError, ModelError
 from .modelspec import BlockSpec, ModelSpec, PathSpec, validate_model
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _as_fit, _fit_stack
@@ -139,23 +141,32 @@ def _fit_step2(corr: np.ndarray, weights: np.ndarray, block_index: dict[str, tup
     return step2, index
 
 
-def t_cdf(df: np.ndarray, x: np.ndarray, helper=None) -> np.ndarray:
-    """Student's t distribution function ``stdtr(df, x)``, from ``helper`` if it answers."""
-    answer = np.empty_like(x)
-    if helper is not None and _ask(helper, np.concatenate((df, x)), answer):
-        return answer
+def t_cdf(df: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Student's t distribution function ``stdtr(df, x)``. Until ``scipy.special``
+    is loaded, a forked child takes it from ``_stdtr``, so this process loads no scipy."""
+    cdf = np.empty_like(x)
+    with _forked(lambda: _stdtr()(df, x), "scipy.special" not in sys.modules) as pipe:
+        if pipe is not None and _receive(pipe, cdf):
+            return cdf
     from scipy.special import stdtr  # not scipy.stats, which takes a second more to import
     return stdtr(df, x)
 
 
-def t_cdf_helper(request) -> np.ndarray:
-    """Forked helper's work: import scipy.special, then answer ``t_cdf(df, x, helper)``."""
-    from scipy.special import stdtr
-    return stdtr(*np.frombuffer(request()).reshape(2, -1))
+def _stdtr():
+    """``scipy.special.stdtr`` from its extension module alone, in about 20 ms against
+    the package's quarter second. The module entries added for it are removed after."""
+    spec = importlib.util.find_spec("scipy.special")  # imports scipy alone
+    loaded = set(sys.modules)
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)  # its __init__ not run
+    try:
+        return importlib.import_module("scipy.special._ufuncs").stdtr
+    finally:
+        for name in set(sys.modules) - loaded:
+            del sys.modules[name]
 
 
 def reinforcement_tests(
-    cyc: CyclicFit, boot, n: int, direction: str = "ce_gt_se", helper=None
+    cyc: CyclicFit, boot, n: int, direction: str = "ce_gt_se"
 ) -> dict[tuple[str, str], TestResult | str]:
     """The reinforcement test of every cyclic pair, or the reason it is skipped.
 
@@ -163,8 +174,7 @@ def reinforcement_tests(
     target -> source using the bootstrap standard errors of both (``boot`` is
     a ``BootstrapResult`` of the cyclic model). A pair without a direct
     mirror, or whose standard errors cannot be tested, maps to its skip
-    reason. The tails come from one ``t_cdf`` call, which ``helper``, a pipe
-    to a forked ``t_cdf_helper``, answers if given.
+    reason. The tails come from one ``t_cdf`` call.
     """
     tests, testable = {}, {}
     for pair, beta_ce in cyc.cyclic_paths.items():
@@ -179,7 +189,7 @@ def reinforcement_tests(
         else:
             tests[pair] = testable[pair] = (beta_se, beta_ce, *sigmas)  # holds its place
     pairs = np.array(list(testable.values()), dtype=np.float64).reshape(-1, 4).T
-    tests.update(zip(testable, _welch(pairs, n, direction, helper)))
+    tests.update(zip(testable, _welch(pairs, n, direction)))
     return tests
 
 
@@ -214,7 +224,7 @@ def _why_untestable(*sigmas: float) -> str | None:
     return "standard errors must be positive" if min(sigmas) <= 0 else None
 
 
-def _welch(pairs: np.ndarray, n: int, direction: str, helper=None) -> list[TestResult]:
+def _welch(pairs: np.ndarray, n: int, direction: str) -> list[TestResult]:
     """The test of each column of ``pairs``: beta_se, beta_ce, sigma_se and sigma_ce."""
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction '{direction}'")
@@ -224,7 +234,8 @@ def _welch(pairs: np.ndarray, n: int, direction: str, helper=None) -> list[TestR
     var_se, var_ce = sigma_se**2, sigma_ce**2
     pooled = (n - 1) / n * (var_se + var_ce)
     t = np.abs(beta_se - beta_ce) / np.sqrt(pooled)
-    ratio = pooled**2 / (((n - 1) / n**2) * (var_se**2 + var_ce**2))
+    a, c = (pairs[2:] / pairs[2:].max(0)) ** 2  # scale-free, so no fourth power overflows
+    ratio = ((n - 1) / n * (a + c)) ** 2 / (((n - 1) / n**2) * (a**2 + c**2))
     # guard the floor against float rounding at integer boundaries, so the
     # equal-sigma case lands exactly on 2(n-1)
     df = np.maximum(1.0, np.floor(ratio * (1.0 + 1e-12) + 1e-9))
@@ -232,7 +243,7 @@ def _welch(pairs: np.ndarray, n: int, direction: str, helper=None) -> list[TestR
     # signed difference s; negating a difference or a quotient is exact
     diff = beta_se - beta_ce if direction == "ce_gt_se" else beta_ce - beta_se
     x = -t if direction == "two_sided" else diff / np.sqrt(pooled)
-    cdf = t_cdf(df, x, helper) if x.size else x
+    cdf = t_cdf(df, x) if x.size else x
     p = 2.0 * cdf if direction == "two_sided" else cdf
     return [
         TestResult(float(t_k), int(df_k), float(p_k), direction,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import io
 import itertools
 import math
 import os
@@ -169,7 +168,7 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
     half = rows // 2
     try:
         with _forked(
-            lambda _: _loadtxt(path, half, rows - half, width), os.path.getsize(path) >= _FORK_BYTES
+            lambda: _loadtxt(path, half, rows - half, width), os.path.getsize(path) >= _FORK_BYTES
         ) as pipe:
             if pipe is None:
                 return _loadtxt(path, 0, rows, width)
@@ -237,9 +236,8 @@ def _missing_as_nan(line: bytes) -> bytes:
 
 @contextlib.contextmanager
 def _forked(work, pays: bool):
-    """Run ``work(request)`` in one forked child; yield a pipe to it and back.
+    """Run ``work()`` in one forked child; yield a pipe that reads its result.
 
-    ``request()`` waits for the bytes the caller sends with ``_ask``, and
     ``work`` returns a bytes-like object. The child computes all of it first,
     so the caller does its own share meanwhile, then writes its length (8
     bytes, little-endian) and its bytes, and the caller reads no more than
@@ -257,25 +255,22 @@ def _forked(work, pays: bool):
         yield None
         return
     read_fd, write_fd = os.pipe()
-    ask_fd, tell_fd = os.pipe()
     try:
         with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork beside BLAS threads; the child runs no BLAS
+            # Python 3.12+ warns on a fork beside threads; a child may run a
+            # GEMM, which OpenBLAS's fork handlers leave safe to do
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        for fd in (read_fd, write_fd, ask_fd, tell_fd):
-            os.close(fd)
+        os.close(read_fd)
+        os.close(write_fd)
         yield None
         return
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            os.close(tell_fd)
-            requests = open(ask_fd, "rb")
-            result = work(lambda: requests.read(_payload_size(requests) or 0))
-            payload = memoryview(result).cast("B")
+            payload = memoryview(work()).cast("B")
             with open(write_fd, "wb") as out:
                 out.write(payload.nbytes.to_bytes(8, "little"))
                 out.write(payload)
@@ -284,24 +279,12 @@ def _forked(work, pays: bool):
             # no atexit handlers, no second flush of the parent's buffered files
             os._exit(status)
     os.close(write_fd)
-    os.close(ask_fd)
-    pipe = io.BufferedRWPair(io.FileIO(read_fd, "r"), io.FileIO(tell_fd, "w"))
     try:
-        yield pipe
+        with open(read_fd, "rb") as pipe:
+            yield pipe
     finally:
         os.kill(pid, signal.SIGKILL)  # a no-op on a child that has exited
         os.waitpid(pid, 0)
-        with contextlib.suppress(BrokenPipeError):  # a request the child never read
-            pipe.close()
-
-
-def _ask(pipe, request: np.ndarray, answer: np.ndarray) -> bool:
-    """Send a forked child ``request``, length first; True if it filled ``answer``."""
-    with contextlib.suppress(BrokenPipeError):
-        pipe.write(request.nbytes.to_bytes(8, "little") + request.tobytes())
-        pipe.flush()
-        return _receive(pipe, answer)
-    return False
 
 
 def _payload_size(pipe) -> int | None:
@@ -500,7 +483,7 @@ def write_table(path: str, table: RawTable) -> None:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
         handle.flush()
         with _forked(
-            lambda _: b"".join(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES
+            lambda: b"".join(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES
         ) as pipe:
             handle.buffer.writelines(_csv_body(values if pipe is None else values[:half]))
             if pipe is not None:

@@ -9,14 +9,14 @@ the arbitrary orientation of composite scores from inflating the spread.
 Replicate r draws from a counter-based generator keyed by (seed, r), so
 results do not depend on execution order.
 
-The drawn rows are never copied. A chunk of replicates keeps its per-row
-draw counts as one uint8 count matrix C (replicates x rows); for each block
-of rows, one GEMM multiplies C by the rows and their pairwise products
-x_i*x_j (i <= j), which sums every replicate's first and second moments at
-once, and each replicate's covariance is then M2/n - m m'. A replicate with
-a nearly constant column, or a row drawn more than 255 times, takes the
-exact centred moments of ``_resampled_moments`` instead, which make every
-zero-variance decision.
+The drawn rows are never copied. Each half of a chunk of replicates keeps
+its per-row draw counts as one uint8 count matrix C (replicates x rows); for
+each block of rows, one GEMM multiplies C by the rows and their products
+x_i*x_j (i <= j), summing every replicate's first and second moments, and
+each covariance is then M2/n - m m'. Where that work pays for a fork, a
+forked child computes the back halves. A replicate with a nearly constant
+column, or a row drawn more than 255 times, takes the exact centred moments
+of ``_resampled_moments``, which make every zero-variance decision.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cyclic import CyclicFit, _fit_step2
-from .dataset import PreparedData
+from .dataset import PreparedData, _forked, _receive
 from .errors import DataError, EstimationError
 from .modelspec import ModelSpec
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
@@ -43,6 +43,10 @@ MAX_FAILURE_RATE = 0.05
 _COUNT_BUFFER_BYTES = 16 << 20
 _ROW_BLOCK_BYTES = 1 << 19
 
+# A forked child computes half the replicate moments where they take this many
+# multiply-adds; on a 2-vCPU Xeon the fork broke even at 0.8e8 to 1.6e8
+_FORK_WORK = 2e8
+
 # A replicate goes to the exact path when a column's batched variance is at
 # or below this share of max(its mean square, 1). The batched variance sums
 # non-negative terms, so it is off by at most about 3*n*eps of that scale
@@ -52,6 +56,7 @@ _ROW_BLOCK_BYTES = 1 << 19
 _VARIANCE_CUT = 1e-3
 
 _UINT64_MASK = (1 << 64) - 1
+_ZERO_VARIANCE = "zero variance in a resampled column"
 
 
 @dataclass(frozen=True)
@@ -126,21 +131,23 @@ def _resampled_moments(data: PreparedData, counts: np.ndarray) -> np.ndarray:
     cov = centred.T @ centred / n
     std = np.sqrt(np.diag(cov))
     if np.any(std <= 1e-12):
-        raise DataError("zero variance in a resampled column")
+        raise DataError(_ZERO_VARIANCE)
     return cov / np.outer(std, std)
 
 
-def _batched_correlations(data: PreparedData, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batched_correlations(data: PreparedData, counts: np.ndarray,
+                          chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """Correlation matrices for each row of ``counts``, and which of them hold.
 
     A replicate whose smallest column variance is not clearly above rounding
-    is marked as not holding; its matrix is then meaningless.
+    is marked as not holding; its matrix is then meaningless. The row blocks
+    are those of a ``chunk``-replicate count matrix.
     """
     x = data.matrix
     n, p = x.shape
     upper = np.triu_indices(p)
     width = p + len(upper[0])
-    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + len(counts))))
+    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + chunk)))
     sums = np.zeros((len(counts), width))
     block = np.empty((min(rows, n), width))
     for lo in range(0, n, rows):
@@ -160,28 +167,48 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray) -> tuple[np.nd
     return cov / (std[:, :, None] * std[:, None, :]), holds
 
 
-def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[np.ndarray, list]]:
-    """Each chunk's replicate correlation matrices in r order, and their failures:
-    None, or the message of a replicate whose exact moments have a zero variance."""
+def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool) -> Iterator[np.ndarray]:
+    """The correlation matrices of replicates [start, mid), or [mid, stop) if
+    ``back``, of each chunk (start, mid, stop); NaN where one has a zero variance."""
     n = data.matrix.shape[0]
-    buffer = np.empty((max(1, min(b, _COUNT_BUFFER_BYTES // n)), n), np.uint8)
-    for start in range(0, b, len(buffer)):
-        counts = buffer[: min(len(buffer), b - start)]
+    buffer = np.empty(((chunks[0][2] - chunks[0][0] + 1) // 2, n), np.uint8)  # the longest half
+    for start, mid, stop in chunks:
+        first, last = (mid, stop) if back else (start, mid)
+        counts = buffer[: last - first]
         wide = {}
         for i in range(len(counts)):
-            drawn = np.bincount(_replicate_rng(seed, start + i).integers(0, n, size=n), minlength=n)
+            drawn = np.bincount(_replicate_rng(seed, first + i).integers(0, n, size=n), minlength=n)
             counts[i] = drawn
             if drawn.max() > 255:  # wrapped in the buffer
                 wide[i] = drawn
-        corr, holds = _batched_correlations(data, counts)
-        failures: list[str | None] = [None] * len(counts)
+        corr, holds = _batched_correlations(data, counts, stop - start)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
                     corr[i] = _resampled_moments(data, wide.get(i, counts[i].astype(np.intp)))
-                except DataError as exc:
-                    failures[i] = str(exc)
-        yield corr, failures
+                except DataError:
+                    corr[i] = np.nan
+        yield corr
+
+
+def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[np.ndarray, list]]:
+    """Each chunk's replicate correlation matrices in r order, and their failures:
+    None, or the message of a replicate whose exact moments have a zero variance.
+    A chunk's halves are two GEMMs wherever they run, so a forked child can
+    compute the back halves as this process computes the front ones."""
+    n, p = data.matrix.shape
+    size = max(1, min(b, _COUNT_BUFFER_BYTES // n))
+    chunks = [(lo, lo + min(size, b - lo) // 2, min(lo + size, b)) for lo in range(0, b, size)]
+    back = np.empty((sum(stop - mid for _, mid, stop in chunks), p, p))
+    pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
+    with _forked(lambda: np.concatenate([*_half_moments(data, seed, chunks, True)]), pays) as pipe:
+        fronts = list(_half_moments(data, seed, chunks, False))
+        if pipe is not None and _receive(pipe, back):
+            backs = np.split(back, np.cumsum([stop - mid for _, mid, stop in chunks[:-1]]))
+        else:
+            backs = _half_moments(data, seed, chunks, True)
+    for corr in map(np.concatenate, zip(fronts, backs)):
+        yield corr, [_ZERO_VARIANCE if failed else None for failed in np.isnan(corr[:, 0, 0])]
 
 
 def _stats(estimate: float, reps: np.ndarray, level: float) -> CoefficientStats:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from plscycle import dataset, estimate_cyclic, fit_pls
+from plscycle import dataset, estimate_cyclic, fit_pls, resample
 from plscycle.dataset import PreparedData
 from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -130,7 +130,7 @@ def corr_sampler():
 
 
 def force_split(monkeypatch) -> list[int]:
-    """Send every input, however small, to the two-process path.
+    """Send every input, however small, and every bootstrap to the two-process path.
 
     Returns the list that the pids of the children forked from now on are
     appended to.
@@ -147,6 +147,7 @@ def force_split(monkeypatch) -> list[int]:
         return pid
 
     monkeypatch.setattr(dataset, "_FORK_BYTES", 0)
+    monkeypatch.setattr(resample, "_FORK_WORK", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(os, "fork", counted)
     return pids

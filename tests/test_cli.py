@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,10 @@ import numpy as np
 import pytest
 
 import plscycle
-from plscycle import __version__, cli, dataset
+from plscycle import __version__, cli, dataset, resample
 from plscycle.cli import main
 from plscycle.cyclic import DIRECTIONS, reinforcement_tests
 from plscycle.dataset import RawTable, load_table
-from plscycle.errors import EstimationError
 
 from conftest import UNEVEN_MODEL, UNEVEN_R, exact_correlation_sample, in_child_only
 
@@ -451,6 +451,7 @@ def flatten_mirror_and_record(monkeypatch) -> dict:
 
 
 def in_process_tests(seen, direction):
+    import scipy.special  # noqa: F401  (so that t_cdf forks no child)
     return reinforcement_tests(seen["cyclic"], seen["boot"], seen["data"].n_effective, direction)
 
 
@@ -465,7 +466,7 @@ def test_helper_p_values_are_the_in_process_bits(tmp_path, capsys, monkeypatch, 
         assert main(argv + ["--direction", direction]) == 0
         assert "scipy.special" not in sys.modules  # every tail came from the helper
     capsys.readouterr()
-    assert len(forks) == 2  # the parse and the helper
+    assert len(forks) == 3  # the parse, the bootstrap and the tail helper
     tests = seen["tests"]
     assert list(tests.items()) == list(in_process_tests(seen, direction).items())
     assert list(tests) == [("X5", "X1"), ("X5", "X2"), ("X5", "X3"), ("X5", "X4")]
@@ -483,49 +484,63 @@ def interrupt(*args, **kwargs):
     raise Interrupt
 
 
-def abort_bootstrap(*args, **kwargs):
-    raise EstimationError("bootstrap aborted: too many failed replicates")
+def rare_column_files(tmp_path, n=300):
+    """Triangle data whose x1 is 0 but in two rows: about 13% of the resamples
+    draw neither, so their x1 has no variance and the bootstrap aborts."""
+    x = exact_correlation_sample(TRIANGLE_R, n, seed=1)
+    x[:, 0] = 0.0
+    x[:2, 0] = 1.0
+    return write_model(tmp_path, cyclic_model()), write_csv(tmp_path, ["x1", "x2", "x3"], x)
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ending", ["success", "exit 3", "BaseException"])
 def test_no_helper_outlives_the_run(tmp_path, capsys, monkeypatch, forks, ending):
     monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
-    model, data = triangle_files(tmp_path, cyclic_model())
+    if ending == "exit 3":
+        model, data = rare_column_files(tmp_path)
+    else:
+        model, data = triangle_files(tmp_path, cyclic_model())
     argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]
     if ending == "BaseException":
-        monkeypatch.setattr(cli, "fit_pls", interrupt)  # the first call after the fork
+        # raised in this process, as the bootstrap's child runs
+        monkeypatch.setattr(resample, "_batched_correlations", interrupt)
         with pytest.raises(Interrupt):
             main(argv)
+    elif ending == "exit 3":
+        assert main(argv) == 3
+        assert "bootstrap failure rate" in capsys.readouterr().err
     else:
-        if ending == "exit 3":
-            monkeypatch.setattr(cli, "bootstrap", abort_bootstrap)
-        assert main(argv) == (0 if ending == "success" else 3)
+        assert main(argv) == 0
     assert "scipy.special" not in sys.modules
     capsys.readouterr()
-    assert len(forks) == 2  # the parse and the helper
+    # the parse, the bootstrap, and the tail helper once the run gets that far
+    assert len(forks) == (3 if ending == "success" else 2)
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
 
-def answer_short(request):
-    request()
-    return np.zeros(1)
+def no_stdtr():
+    raise RuntimeError("the child fails")
+
+
+def short_stdtr():
+    return lambda df, x: np.zeros(1)
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("child", [fail_in_child, answer_short], ids=["raises", "answers short"])
+@pytest.mark.parametrize("child", [no_stdtr, short_stdtr], ids=["raises", "answers short"])
 def test_a_failed_helper_leaves_the_in_process_p_values(
     tmp_path, capsys, monkeypatch, forks, child
 ):
     seen = flatten_mirror_and_record(monkeypatch)
-    in_child_only(monkeypatch, cli, "t_cdf_helper", child)
+    in_child_only(monkeypatch, plscycle.cyclic, "_stdtr", child)
     monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     model, data = helper_files(tmp_path)
     assert main(["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]) == 0
     capsys.readouterr()
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert "scipy.special" in sys.modules  # imported here, as the helper gave no answer
     assert list(seen["tests"].items()) == list(in_process_tests(seen, "ce_gt_se").items())
 
@@ -549,8 +564,37 @@ def test_no_helper_where_it_cannot_pay(tmp_path, capsys, monkeypatch, forks, why
         import scipy.special  # noqa: F401
     assert main(["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]) == 0
     capsys.readouterr()
-    assert len(forks) == (1 if why == "scipy.special imported" else 0)  # the parse alone
+    # the parse and the bootstrap alone
+    assert len(forks) == (2 if why == "scipy.special imported" else 0)
     assert list(seen["tests"].items()) == list(in_process_tests(seen, "ce_gt_se").items())
+
+
+def raises(*args):
+    raise RuntimeError("the child fails")
+
+
+def killed(*args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def short_halves(*args):
+    return [np.zeros(1)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("child", [None, raises, killed, short_halves],
+                         ids=["answers", "raises", "is killed", "answers short"])
+def test_a_bootstrap_child_leaves_the_one_cpu_report(tmp_path, capsys, monkeypatch, forks, child):
+    model, data = helper_files(tmp_path)
+    argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "150", "--seed", "11"]
+    with monkeypatch.context() as serial:
+        serial.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert main(argv + ["--out", str(tmp_path / "serial.json")]) == 0
+    if child is not None:
+        in_child_only(monkeypatch, resample, "_half_moments", child)
+    assert main(argv + ["--out", str(tmp_path / "forked.json")]) == 0
+    assert len(forks) == 2  # the parse and the bootstrap: the one-CPU run loaded scipy.special
+    assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
 CHAIN_POPULATION = {
@@ -600,6 +644,7 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
         "assert plscycle.cli.main(['cyclic', '--model', sys.argv[3], '--data', sys.argv[2],"
         " '--bootstrap', '100', '--out', sys.argv[4]]) == 0\n"
         "seen['cyclic'] = scipy_modules()\n"
+        "os.sched_getaffinity = lambda pid: {0}  # so the tail is taken here\n"
         "plscycle.cyclic.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
         "seen['test'] = scipy_modules()\n"
         "print(json.dumps(seen))\n"
@@ -613,11 +658,11 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
     )
     seen = json.loads(done.stdout.splitlines()[-1])
     assert seen["import"] == [] and seen["simulate"] == []
-    # a forked helper took the cyclic run's tail probabilities
+    # a forked tail helper took the cyclic run's tail probabilities
     assert seen["cyclic"] == []
     pairs = json.loads(report.read_text())["cyclic"]["pairs"]
     assert len(pairs) == 2 and all("p" in pair for pair in pairs)
-    # the tail probability is the first thing to need scipy, and not scipy.stats
+    # on one CPU the tail probability is the first thing to need scipy, and not scipy.stats
     assert "scipy.special" in seen["test"] and "scipy.stats" not in seen["test"]
 
 

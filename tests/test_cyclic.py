@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,14 @@ from plscycle import (
 )
 from plscycle import cyclic as cyclic_module
 
-from conftest import UNEVEN_MODEL, UNEVEN_R, exact_correlation_sample, make_prepared, point_fits
+from conftest import (
+    UNEVEN_MODEL,
+    UNEVEN_R,
+    exact_correlation_sample,
+    in_child_only,
+    make_prepared,
+    point_fits,
+)
 
 # per-coefficient standard errors backed out of the published t statistics
 # (equal-sigma inversion of the test formula at n = 151660)
@@ -122,6 +133,65 @@ def test_p_values_equal_scipy_stats_t_sf_bit_for_bit():
                     assert result.p_value == expected, (n, sigma_ce, beta_ce, direction)
                     dfs.add(result.df)
     assert min(dfs) == 1 and max(dfs) == 300_000
+
+
+def tail_grid():
+    """2,999 (df, x) points: df from 1 to about 4e5, x across both tails."""
+    rng = np.random.default_rng(0)
+    return np.floor(np.exp(rng.uniform(0.0, 13.0, 2999))), rng.normal(scale=5.0, size=2999)
+
+
+def no_stdtr():
+    raise ImportError("no scipy.special._ufuncs")
+
+
+@pytest.mark.parametrize("load", ["bare", "fails"])
+def test_forked_tails_equal_scipy_stats_t_sf_bit_for_bit(monkeypatch, forks, load):
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
+    if load == "fails":
+        in_child_only(monkeypatch, cyclic_module, "_stdtr", no_stdtr)
+    df, x = tail_grid()
+    cdf = cyclic_module.t_cdf(df, x)
+    assert len(forks) == 1
+    # only a helper that failed leaves scipy.special imported here
+    assert ("scipy.special" in sys.modules) == (load == "fails")
+    from scipy import stats
+    assert cdf.tobytes() == stats.t.sf(-x, df).tobytes()
+
+
+def test_a_real_import_after_the_bare_load_gives_the_same_bits():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from plscycle import cyclic\n"
+        "df, x = np.frombuffer(bytes.fromhex(sys.argv[1])).reshape(2, -1)\n"
+        "bare = cyclic._stdtr()(df, x)\n"
+        "assert not any(m.startswith('scipy.special') for m in sys.modules)\n"
+        "import scipy.stats\n"
+        "assert scipy.special.stdtr(df, x).tobytes() == bare.tobytes()\n"
+        "assert scipy.stats.t.sf(-x, df).tobytes() == bare.tobytes()\n"
+    )
+    src = str(Path(cyclic_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    points = np.concatenate(tail_grid()).tobytes().hex()
+    subprocess.run([sys.executable, "-c", script, points], env=env, check=True, timeout=120)
+
+
+def test_sigmas_whose_fourth_power_leaves_the_float_range_are_tested():
+    # a power of two scales every sigma and difference exactly
+    unit = reinforcement_test(0.1, 0.2, 1.0, 1.0, 100)
+    for s in (2.0**-332, 2.0**332):
+        scaled = reinforcement_test(0.1 * s, 0.2 * s, s, s, 100)
+        assert (scaled.t_statistic, scaled.df, scaled.p_value) == (
+            unit.t_statistic, unit.df, unit.p_value)
+    for s in (1e-100, 1e100):
+        assert reinforcement_test(0.1, 0.2, s, s, 100).df == 198
+    _, cyc, boot = chain_fits_and_bootstrap()
+    for s in (1e-100, 1e100):
+        cyclic_se = dataclasses.replace(boot.cyclic_paths[("X3", "X2")], se=s)
+        tiny = dataclasses.replace(with_mirror_se(boot, s),
+                                   cyclic_paths={**boot.cyclic_paths, ("X3", "X2"): cyclic_se})
+        assert reinforcement_tests(cyc, tiny, 250)[("X3", "X2")].df == 498
 
 
 def test_reinforcement_argument_validation():
@@ -276,9 +346,9 @@ def test_reinforcement_tests_take_every_tail_from_one_t_cdf_call(monkeypatch):
     _, cyc, boot = chain_fits_and_bootstrap()
     calls, real = [], cyclic_module.t_cdf
 
-    def counted(df, x, helper=None):
+    def counted(df, x):
         calls.append(len(x))
-        return real(df, x, helper)
+        return real(df, x)
 
     monkeypatch.setattr(cyclic_module, "t_cdf", counted)
     reinforcement_tests(cyc, boot, 250)

@@ -11,7 +11,11 @@ reads the block rows.
 """
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -451,6 +455,80 @@ def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeyp
     assert boot.b_effective == 99
     assert [len(corr) for corr, _ in step1] == [40, 40, 20]
     assert [len(corr) for corr, _ in step2] == [40, 40, 20]
+
+
+def on_one_cpu(monkeypatch, work):
+    with monkeypatch.context() as serial:
+        serial.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        return work()
+
+
+def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, forks):
+    # chunks of 8: [0, 8) and a ragged [8, 12); the child's halves are [4, 8)
+    # and [10, 12), so the row drawn 300 times (replicate 5) and the
+    # zero-variance replicate (6) are both the child's
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    set_budgets(monkeypatch, data, chunk=8, rows=64)
+    serial = on_one_cpu(monkeypatch, lambda: list(resample._replicate_moments(data, 2, 12)))
+    assert forks == []
+    forked = list(resample._replicate_moments(data, 2, 12))
+    assert len(forks) == 1
+    assert [(corr.tobytes(), failures) for corr, failures in forked] == [
+        (corr.tobytes(), failures) for corr, failures in serial]
+    assert [len(corr) for corr, _ in forked] == [8, 4]
+    assert forked[0][1] == [None] * 6 + ["zero variance in a resampled column", None]
+    fits = point_fits(data, spec)
+    serial = on_one_cpu(monkeypatch, lambda: resample.bootstrap(data, spec, 100, seed=2, **fits))
+    boot = resample.bootstrap(data, spec, 100, seed=2, **fits)
+    assert len(forks) == 2
+    assert (boot.failures, boot.failure_reasons) == (serial.failures, serial.failure_reasons) == (
+        1, {"zero variance": 1})
+    for name in ("paths", "loadings", "cyclic_paths"):
+        for key, stats in getattr(boot, name).items():
+            assert stats.replicates.tobytes() == getattr(serial, name)[key].replicates.tobytes()
+
+
+def test_no_child_outlives_an_aborted_bootstrap(forks):
+    spec = parse_model(PAIR_MODEL)
+    a = np.zeros(12)
+    a[0] = 1.0
+    data = make_prepared(np.column_stack([a, np.random.default_rng(21).normal(size=12)]), spec)
+    with pytest.raises(EstimationError, match="bootstrap failure rate"):
+        bootstrap(data, spec, b=100, seed=1, **point_fits(data, spec))
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+BLAS_THREADS_SCRIPT = """
+import os, sys
+import numpy as np
+sys.path[:0] = sys.argv[1:3]
+from plscycle import parse_model, resample
+from test_moment_core import CYCLIC_MODEL, cyclic_data
+a = np.random.default_rng(0).standard_normal((600, 600))
+a @ a  # large enough for OpenBLAS to run its threads before the fork
+data = cyclic_data(parse_model(CYCLIC_MODEL), n=3000)
+resample._FORK_WORK = 0
+fork, pids = os.fork, []
+os.fork = lambda: pids.append(fork()) or pids[-1]
+forked = list(resample._replicate_moments(data, 3, 100))
+assert len(pids) == 1
+os.sched_getaffinity = lambda pid: {0}
+serial = list(resample._replicate_moments(data, 3, 100))
+assert [c.tobytes() for c, _ in forked] == [c.tobytes() for c, _ in serial]
+"""
+
+
+def test_the_forked_bootstrap_runs_beside_blas_threads():
+    if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not hasattr(os, "fork"):
+        pytest.skip("needs os.fork and two CPUs")
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(resample.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, src, tests], env=env, check=True,
+                   timeout=120)
 
 
 def reference_failures(data, spec, **kwargs):
