@@ -145,7 +145,7 @@ def t_cdf(df: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Student's t distribution function ``stdtr(df, x)``. Until ``scipy.special``
     is loaded, a forked child takes it from ``_stdtr``, so this process loads no scipy."""
     cdf = np.empty_like(x)
-    with _forked(lambda: _stdtr()(df, x), "scipy.special" not in sys.modules) as pipe:
+    with _forked(lambda: [_stdtr()(df, x)], "scipy.special" not in sys.modules) as pipe:
         if pipe is not None and _receive(pipe, cdf):
             return cdf
     from scipy.special import stdtr  # not scipy.stats, which takes a second more to import

@@ -168,7 +168,7 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
     half = rows // 2
     try:
         with _forked(
-            lambda: _loadtxt(path, half, rows - half, width), os.path.getsize(path) >= _FORK_BYTES
+            lambda: [_loadtxt(path, half, rows - half, width)], os.path.getsize(path) >= _FORK_BYTES
         ) as pipe:
             if pipe is None:
                 return _loadtxt(path, 0, rows, width)
@@ -238,10 +238,11 @@ def _missing_as_nan(line: bytes) -> bytes:
 def _forked(work, pays: bool):
     """Run ``work()`` in one forked child; yield a pipe that reads its result.
 
-    ``work`` returns a bytes-like object. The child computes all of it first,
-    so the caller does its own share meanwhile, then writes its length (8
-    bytes, little-endian) and its bytes, and the caller reads no more than
-    that length. A child that fails writes less than it promised, or nothing.
+    ``work`` returns a list of bytes-like objects. The child computes all of
+    them first, so the caller does its own share meanwhile, then writes their
+    total length (8 bytes, little-endian) and each one's bytes in turn, and
+    the caller reads no more than that length. A child that fails writes less
+    than it promised, or nothing.
     No child runs, and the pipe is None, unless the fork ``pays``, on fewer
     than two CPUs, or where the fork fails. In each of these cases the caller
     does the child's share itself. Leaving the block reaps the child.
@@ -270,10 +271,11 @@ def _forked(work, pays: bool):
         status = 1
         try:
             os.close(read_fd)
-            payload = memoryview(work()).cast("B")
+            payload = [memoryview(part).cast("B") for part in work()]
             with open(write_fd, "wb") as out:
-                out.write(payload.nbytes.to_bytes(8, "little"))
-                out.write(payload)
+                out.write(sum(part.nbytes for part in payload).to_bytes(8, "little"))
+                for part in payload:
+                    out.write(part)
             status = 0
         finally:
             # no atexit handlers, no second flush of the parent's buffered files
@@ -297,6 +299,21 @@ def _receive(pipe, into: np.ndarray) -> bool:
     """Read a forked child's result into ``into``; True if it filled it exactly."""
     view = memoryview(into).cast("B")
     return _payload_size(pipe) == view.nbytes and pipe.readinto(view) == view.nbytes
+
+
+def _copy(pipe, out) -> bool:
+    """Copy a forked child's result to the file ``out``, at most 1 MiB at a time; True
+    if all of it came. A partial result is cut back off ``out``."""
+    start, size = out.tell(), _payload_size(pipe)
+    left = size or 0
+    while left and (part := pipe.read(min(left, 1 << 20))):
+        out.write(part)
+        left -= len(part)
+    if size is not None and not left:
+        return True
+    out.seek(start)
+    out.truncate()
+    return False
 
 
 def _load_rows(path: str) -> RawTable:
@@ -472,8 +489,8 @@ def write_table(path: str, table: RawTable) -> None:
     (missing) cell as ``NA``; an infinite value raises ValueError before the
     file is opened. The header goes through ``csv.writer``. A forked child
     formats the back half of a large body while this process writes the front
-    half; the child's half reaches the file only once all of it has arrived,
-    and if the child fails or answers short, the back half is formatted here.
+    half, then copies the child's half to the file as it arrives; if the child
+    fails or answers short, a partial half is cut back and rewritten here.
     """
     values = np.ascontiguousarray(table.values, dtype=np.float64)
     if np.isinf(values).any():
@@ -482,15 +499,10 @@ def write_table(path: str, table: RawTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
         handle.flush()
-        with _forked(
-            lambda: b"".join(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES
-        ) as pipe:
+        with _forked(lambda: list(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES) as pipe:
             handle.buffer.writelines(_csv_body(values if pipe is None else values[:half]))
-            if pipe is not None:
-                size = _payload_size(pipe)
-                back = pipe.read(size or 0)
-                # size is None if the child failed; short if it died
-                handle.buffer.writelines([back] if len(back) == size else _csv_body(values[half:]))
+            if pipe is not None and not _copy(pipe, handle.buffer):
+                handle.buffer.writelines(_csv_body(values[half:]))
 
 
 def standardize_column(x: np.ndarray, name: str = "", out: np.ndarray | None = None) -> np.ndarray:

@@ -201,7 +201,7 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[
     chunks = [(lo, lo + min(size, b - lo) // 2, min(lo + size, b)) for lo in range(0, b, size)]
     back = np.empty((sum(stop - mid for _, mid, stop in chunks), p, p))
     pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
-    with _forked(lambda: np.concatenate([*_half_moments(data, seed, chunks, True)]), pays) as pipe:
+    with _forked(lambda: list(_half_moments(data, seed, chunks, True)), pays) as pipe:
         fronts = list(_half_moments(data, seed, chunks, False))
         if pipe is not None and _receive(pipe, back):
             backs = np.split(back, np.cumsum([stop - mid for _, mid, stop in chunks[:-1]]))

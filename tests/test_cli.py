@@ -368,16 +368,37 @@ class SendsHalf:
         return self.out.write(data if self.writes == 1 else memoryview(data)[: len(data) // 2])
 
 
-def open_sends_half(file, mode="r", *args, **kwargs):
-    return SendsHalf(file) if mode == "wb" else open(file, mode, *args, **kwargs)
+class KilledPartway(SendsHalf):
+    """A child's result file whose process SIGKILLs itself once 1 MiB has gone through it."""
+
+    def __init__(self, fd):
+        super().__init__(fd)
+        self.sent = 0
+
+    def write(self, data):
+        self.sent += self.out.write(data)
+        if self.sent >= 1 << 20:
+            self.out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        return len(data)
+
+
+def opening(result_file):
+    """``open``, but a pipe opened for writing is a ``result_file``."""
+    def patched(file, mode="r", *args, **kwargs):
+        return result_file(file) if mode == "wb" else open(file, mode, *args, **kwargs)
+    return patched
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("failure", ["child raises", "child answers short"])
+@pytest.mark.parametrize(
+    "failure", ["child raises", "child answers short", "child killed partway"]
+)
 def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     tmp_path, capsys, monkeypatch, forks, failure
 ):
-    pop = write_model(tmp_path, {**POPULATION, "n": 5000}, name="pop.json")
+    # each half is about 1.5 MiB of text: more than the parent copies at a time
+    pop = write_model(tmp_path, {**POPULATION, "n": 40_000}, name="pop.json")
     serial = tmp_path / "serial.csv"
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(["simulate", "--population", pop, "--out", str(serial)]) == 0
@@ -393,15 +414,16 @@ def test_a_failed_child_leaves_the_simulate_bytes_unchanged(
     if failure == "child raises":
         in_child_only(monkeypatch, dataset, "_csv_body", fail_in_child)
     else:
+        result_file = SendsHalf if failure == "child answers short" else KilledPartway
         monkeypatch.setattr(dataset, "open", open, raising=False)
-        in_child_only(monkeypatch, dataset, "open", open_sends_half)
+        in_child_only(monkeypatch, dataset, "open", opening(result_file))
     out = tmp_path / "forked.csv"
     assert main(["simulate", "--population", pop, "--out", str(out)]) == 0
     capsys.readouterr()
     assert len(forks) == 1
     assert out.read_bytes() == serial.read_bytes()
     # the parent formatted the front half, then, the child having failed, the back half
-    assert [len(half) for half in formatted] == [2500, 2500]
+    assert [len(half) for half in formatted] == [20_000, 20_000]
     assert np.concatenate(formatted).tobytes() == load_table(str(serial)).values.tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(forks[0], os.WNOHANG)

@@ -413,6 +413,18 @@ def test_forked_parse_at_the_split(tmp_path, text, forks):
     assert len(forks) == plain
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("middle", ["0065536,0065536", "     NA,0065536"], ids=["plain", "NA"])
+def test_forked_parse_of_a_middle_line_at_a_scan_chunk_boundary(tmp_path, forks, middle):
+    # 2 * 65536 body lines of 16 bytes: the back half starts at the first byte
+    # of the scan's second 1 MiB read
+    lines = [f"{i:07d},{i:07d}" for i in range(2 * 65536)]
+    lines[65536] = middle
+    path = write(tmp_path, table_text(lines))
+    assert load_or_message(load_table, path) == load_or_message(dataset._load_rows, path)
+    assert len(forks) == 1
+
+
 def short_result(path, skip, rows, width):
     return np.zeros((rows - 1, width))
 
@@ -808,6 +820,18 @@ def test_prepare_blocks_equals_the_column_stack_reference(draw):
     else:
         assert np.array_equal(got.matrix, expected)
         assert got.matrix.flags.c_contiguous
+
+
+def test_a_forked_write_table_peaks_below_a_third_of_a_table_in_this_process(tmp_path, forks):
+    # the front half is formatted a block at a time and the child's half copied
+    # to the file a MiB at a time
+    values = np.random.default_rng(0).standard_normal(TABLE_SHAPE)
+    path = tmp_path / "data.csv"
+    table = RawTable(tuple(f"x{j}" for j in range(TABLE_SHAPE[1])), values)
+    peak = traced_peak_tables(lambda: write_table(str(path), table))
+    assert len(forks) == 1
+    assert peak < 0.3
+    assert load_table(str(path)).values.tobytes() == values.tobytes()
 
 
 PAPER_BLOCKS = parse_model(
