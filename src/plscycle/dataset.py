@@ -607,23 +607,33 @@ def prepare_blocks(
 
     selected = [position[col] for block in spec.blocks for col in block.indicators]
     n_input = raw.values.shape[0]
-    missing = np.isnan(raw.values)  # by raw column
+    keep = np.ones(n_input, dtype=bool)
+    missing = {}  # missing cells by raw column, counted one column at a time
+    for c in selected:
+        mask = np.isnan(raw.values[:, c])
+        missing[c] = int(np.count_nonzero(mask))
+        if missing_policy == "listwise":
+            keep[mask] = False
     missing_cells = {
-        block.name: int(missing[:, [position[col] for col in block.indicators]].sum())
+        block.name: sum(missing[position[col]] for col in block.indicators)
         for block in spec.blocks
     }
 
-    empty = missing[:, selected].all(axis=0)
-    if missing_policy == "mean" and empty.any():
-        raise DataError(f"column '{raw.header[selected[empty.argmax()]]}' has no observed values")
-    keep = np.ones(n_input, dtype=bool)
-    if missing_policy == "listwise":
-        keep = ~missing[:, selected].any(axis=1)
-    n_effective = int(keep.sum())
+    empty = [c for c in selected if missing[c] == n_input]
+    if missing_policy == "mean" and empty:
+        raise DataError(f"column '{raw.header[empty[0]]}' has no observed values")
+    n_effective = int(np.count_nonzero(keep))
     if n_effective < 10:
         raise DataError(
             f"too few rows after missing-data handling: {n_effective} < 10"
         )
+    if n_effective == n_input:
+        keep = None  # columns are gathered without an n-long row index
+
+    def rows_of(columns: list[int]) -> np.ndarray:
+        if keep is None:
+            return raw.values.take(columns, axis=1)
+        return raw.values[np.ix_(keep, columns)]
 
     out_names: list[str] = []
     picks: list[int] = []  # the raw column of each matrix column
@@ -634,7 +644,7 @@ def prepare_blocks(
         block_index[block.name] = (len(out_names), len(out_names) + len(kept))
         picks.extend(position[col] for col in block.indicators[: len(kept)])
         out_names.extend(kept)
-    matrix = raw.values[np.ix_(keep, picks)].astype(np.float64, copy=False)
+    matrix = rows_of(picks).astype(np.float64, copy=False)
 
     inertia: dict[str, float] = {}
     for block in spec.blocks:
@@ -647,13 +657,13 @@ def prepare_blocks(
                 )
             scores, inertia[block.name] = mca_first_dimension(
                 # freed once the scores are formed
-                raw.values[np.ix_(keep, [position[col] for col in block.indicators])]
+                rows_of([position[col] for col in block.indicators])
             )
             standardize_column(scores, block.name, out=matrix[:, start])
             continue
         for x, col in zip(matrix[:, start:].T, block.indicators):
-            mask = missing[:, position[col]]
-            if missing_policy == "mean" and mask.any():
+            if missing_policy == "mean" and missing[position[col]]:
+                mask = np.isnan(x)
                 x[mask] = x[~mask].mean()
             standardize_column(x, col, out=x)
 

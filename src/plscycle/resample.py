@@ -10,13 +10,14 @@ Replicate r draws from a counter-based generator keyed by (seed, r), so
 results do not depend on execution order.
 
 The drawn rows are never copied. Each half of a chunk of replicates keeps
-its per-row draw counts as one uint8 count matrix C (replicates x rows); for
-each block of rows, one GEMM multiplies C by the rows and their products
-x_i*x_j (i <= j), summing every replicate's first and second moments, and
-each covariance is then M2/n - m m'. Where that work pays for a fork, a
-forked child computes the back halves. A replicate with a nearly constant
-column, or a row drawn more than 255 times, takes the exact centred moments
-of ``_resampled_moments``, which make every zero-variance decision.
+its per-row draw counts as one count matrix C (replicates x rows) of 4-bit
+counts, two rows a byte; for each block of rows, one GEMM multiplies C,
+unpacked to float64, by the rows and their products x_i*x_j (i <= j),
+summing every replicate's first and second moments, and each covariance is
+then M2/n - m m'. Where that work pays for a fork, a forked child computes
+the back halves. A replicate with a nearly constant column, or a row drawn
+more than 15 times, takes the exact centred moments of
+``_resampled_moments``, which make every zero-variance decision.
 """
 
 from __future__ import annotations
@@ -38,8 +39,10 @@ from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
 
-# Memory bound of a chunk's uint8 count matrix, and of one row block's
-# products and float counts (a block that stays in cache is the fastest).
+# A chunk holds _COUNT_BUFFER_BYTES // n replicates, and each of its halves
+# packs its counts two rows a byte, so a half's count matrix takes at most a
+# quarter of this. _ROW_BLOCK_BYTES bounds one row block's products and
+# float counts (a block that stays in cache is the fastest).
 _COUNT_BUFFER_BYTES = 16 << 20
 _ROW_BLOCK_BYTES = 1 << 19
 
@@ -135,9 +138,21 @@ def _resampled_moments(data: PreparedData, counts: np.ndarray) -> np.ndarray:
     return cov / np.outer(std, std)
 
 
+def _unpacked(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The float64 counts of rows [lo, hi) of each replicate of ``counts``,
+    which holds row 2j in the low and row 2j+1 in the high 4 bits of byte j."""
+    pairs = counts[:, lo // 2:(hi + 1) // 2]
+    nibbles = np.empty((*pairs.shape, 2), np.uint8)
+    np.bitwise_and(pairs, 15, out=nibbles[..., 0])
+    np.right_shift(pairs, 4, out=nibbles[..., 1])
+    rows = nibbles.reshape(len(counts), 2 * pairs.shape[1])[:, lo % 2:]
+    return rows[:, : hi - lo].astype(np.float64)
+
+
 def _batched_correlations(data: PreparedData, counts: np.ndarray,
                           chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation matrices for each row of ``counts``, and which of them hold.
+    """Correlation matrices for each replicate of the packed ``counts``, and
+    which of them hold.
 
     A replicate whose smallest column variance is not clearly above rounding
     is marked as not holding; its matrix is then meaningless. The row blocks
@@ -155,7 +170,7 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray,
         zb = block[: len(xb)]
         zb[:, :p] = xb
         np.multiply(xb[:, upper[0]], xb[:, upper[1]], out=zb[:, p:])
-        sums += counts[:, lo:lo + rows] @ zb
+        sums += _unpacked(counts, lo, lo + len(xb)) @ zb
     sums /= n
     cov = np.empty((len(counts), p, p))
     cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = sums[:, p:]
@@ -171,21 +186,25 @@ def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool) -> It
     """The correlation matrices of replicates [start, mid), or [mid, stop) if
     ``back``, of each chunk (start, mid, stop); NaN where one has a zero variance."""
     n = data.matrix.shape[0]
-    buffer = np.empty(((chunks[0][2] - chunks[0][0] + 1) // 2, n), np.uint8)  # the longest half
+    # the longest half, two rows a byte
+    buffer = np.empty(((chunks[0][2] - chunks[0][0] + 1) // 2, (n + 1) // 2), np.uint8)
     for start, mid, stop in chunks:
         first, last = (mid, stop) if back else (start, mid)
         counts = buffer[: last - first]
         wide = {}
         for i in range(len(counts)):
             drawn = np.bincount(_replicate_rng(seed, first + i).integers(0, n, size=n), minlength=n)
-            counts[i] = drawn
-            if drawn.max() > 255:  # wrapped in the buffer
+            if drawn.max() > 15:  # wraps in 4 bits
                 wide[i] = drawn
+            nibbles = drawn.astype(np.uint8)
+            counts[i] = nibbles[0::2]
+            counts[i, : n // 2] |= nibbles[1::2] << 4
         corr, holds = _batched_correlations(data, counts, stop - start)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
-                    corr[i] = _resampled_moments(data, wide.get(i, counts[i].astype(np.intp)))
+                    corr[i] = _resampled_moments(
+                        data, wide[i] if i in wide else _unpacked(counts[i:i + 1], 0, n)[0])
                 except DataError:
                     corr[i] = np.nan
         yield corr

@@ -165,10 +165,11 @@ def gen_acyclic(pop: PopulationSpec) -> RawTable:
     b = np.asarray(pop.b_matrix, dtype=np.float64)
     _, psi, order = _acyclic_moments(pop)
     z, eps = _draws(pop)
-    xi = np.zeros((pop.n, len(pop.constructs)))
+    # each score replaces its draw in z; b[node] is zero on every column not
+    # yet replaced, and adding x*0 leaves each sum as it was
     for node in order:
-        xi[:, node] = xi @ b[node] + np.sqrt(psi[node]) * z[:, node]
-    return RawTable(header=indicator_names(pop), values=_emit_indicators(xi, pop, eps))
+        z[:, node] = z @ b[node] + np.sqrt(psi[node]) * z[:, node]
+    return RawTable(header=indicator_names(pop), values=_emit_indicators(z, pop, eps))
 
 
 def gen_cyclic_equilibrium(pop: PopulationSpec) -> RawTable:

@@ -39,7 +39,7 @@ from plscycle.dataset import Moments
 from plscycle.modelspec import SCHEMES
 from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-from conftest import make_prepared, point_fits
+from conftest import TABLE_SHAPE, make_prepared, point_fits, traced_peak_tables
 
 TOL = 1e-10
 
@@ -387,12 +387,90 @@ def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
     assert_same_moments(data, seed=3, b=100)
 
 
+def one_byte_correlations(data, counts, chunk):
+    """``_batched_correlations`` as it was on uint8 counts, one byte a row."""
+    x = data.matrix
+    n, p = x.shape
+    upper = np.triu_indices(p)
+    width = p + len(upper[0])
+    rows = max(1, resample._ROW_BLOCK_BYTES // (8 * (width + chunk)))
+    sums = np.zeros((len(counts), width))
+    block = np.empty((min(rows, n), width))
+    for lo in range(0, n, rows):
+        xb = x[lo:lo + rows]
+        zb = block[: len(xb)]
+        zb[:, :p] = xb
+        np.multiply(xb[:, upper[0]], xb[:, upper[1]], out=zb[:, p:])
+        sums += counts[:, lo:lo + rows] @ zb
+    sums /= n
+    cov = np.empty((len(counts), p, p))
+    cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = sums[:, p:]
+    scale = np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1.0)
+    cov -= sums[:, :p, None] * sums[:, None, :p]
+    var = np.diagonal(cov, axis1=1, axis2=2)
+    holds = np.all(var > resample._VARIANCE_CUT * scale, axis=1)
+    std = np.sqrt(np.where(holds[:, None], var, 1.0))
+    return cov / (std[:, :, None] * std[:, None, :]), holds
+
+
+def one_byte_moments(data, seed, b):
+    """Every replicate's correlation matrix from one-byte counts, in the chunk
+    halves of ``_replicate_moments``; NaN where the exact path fails."""
+    n = data.matrix.shape[0]
+    size = max(1, min(b, resample._COUNT_BUFFER_BYTES // n))
+    out = []
+    for start in range(0, b, size):
+        stop = min(start + size, b)
+        mid = start + (stop - start) // 2
+        for first, last in ((start, mid), (mid, stop)):
+            drawn = np.array([
+                np.bincount(resample._replicate_rng(seed, r).integers(0, n, size=n), minlength=n)
+                for r in range(first, last)]).reshape(last - first, n)
+            corr, holds = one_byte_correlations(data, drawn.astype(np.uint8), stop - start)
+            for i in np.flatnonzero(~holds | (drawn.max(axis=1) > 255)):
+                try:
+                    corr[i] = resample._resampled_moments(data, drawn[i])
+                except DataError:
+                    corr[i] = np.nan
+            out.append(corr)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize(
+    "n, chunk, rows",
+    [
+        (301, 7, 15),  # odd n; odd row blocks, every other one starting mid-byte
+        (300, 10, 1),  # one row per block
+        (1001, 130, 78),  # one chunk longer than B, whose 100 set 91-row blocks; odd n
+    ],
+)
+def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chunk, rows):
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=n)
+    set_budgets(monkeypatch, data, chunk, rows)
+    got = np.concatenate([corr for corr, _ in resample._replicate_moments(data, seed=5, b=100)])
+    assert np.array_equal(got, one_byte_moments(data, seed=5, b=100), equal_nan=True)
+
+
+def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
+    # beside the prepared matrix: the half's 4-bit counts (50 x n/2 bytes,
+    # 0.28 tables) and one replicate's int64 draw and counts
+    data = cyclic_data(parse_model(CYCLIC_MODEL), n=TABLE_SHAPE[0])
+    halves = []
+    peak = traced_peak_tables(
+        lambda: halves.extend(resample._half_moments(data, 0, [(0, 50, 100)], False)))
+    assert [len(corr) for corr in halves] == [50]
+    assert peak < 0.65
+
+
 REAL_RNG = resample._replicate_rng
 
 
 class StubbedDraw:
-    """Replicate draws with one row taken 300 times in replicate 5 and every
-    draw on one row in replicate 6; the rest as ``_replicate_rng`` draws them."""
+    """Replicate draws with one row taken 300 times in replicate 5, every draw
+    on one row in replicate 6, and one row taken exactly 15 times in replicate
+    7 and 16 times in replicate 8 (the most a 4-bit count holds, and one
+    more); the rest as ``_replicate_rng`` draws them."""
 
     def __init__(self, seed, r):
         self.rng, self.r = REAL_RNG(seed, r), r
@@ -403,6 +481,9 @@ class StubbedDraw:
             idx[:300] = 0
         elif self.r == 6:
             idx[:] = 1
+        elif self.r in (7, 8):
+            idx[idx == 0] = 1
+            idx[: self.r + 8] = 0
         return idx
 
 
@@ -412,16 +493,18 @@ def stubbed_draws(monkeypatch):
     monkeypatch.setattr(oracle, "_replicate_rng", StubbedDraw)
 
 
-def test_row_drawn_past_uint8_takes_the_exact_path(stubbed_draws, monkeypatch):
+def test_rows_drawn_past_4_bits_take_the_exact_path(stubbed_draws, monkeypatch):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=4, rows=64)
     exact = exact_path_counts(monkeypatch)
     chunks = list(resample._replicate_moments(data, seed=2, b=12))
-    drawn = [np.bincount(StubbedDraw(2, r).integers(0, 1000, size=1000), minlength=1000)
-             for r in (5, 6)]
-    assert [counts.tolist() for counts in exact] == [counts.tolist() for counts in drawn]
-    assert exact[0].max() >= 300 and exact[1].max() == 1000
+    drawn = {r: np.bincount(StubbedDraw(2, r).integers(0, 1000, size=1000), minlength=1000)
+             for r in (5, 6, 7, 8)}
+    assert drawn[5].max() >= 300 and [drawn[r].max() for r in (6, 7, 8)] == [1000, 15, 16]
+    # the front halves [4, 6) and [8, 10) run first; the replicate whose
+    # busiest row is drawn 15 times stays batched
+    assert [counts.tolist() for counts in exact] == [drawn[r].tolist() for r in (5, 8, 6)]
     failures = [failure for _, chunk in chunks for failure in chunk]
     assert failures == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     assert_same_moments(data, seed=2, b=12)

@@ -424,16 +424,17 @@ def test_generators_and_truth_are_pinned(doc, values_sha256, truth_sha256):
 
 
 @pytest.mark.parametrize(
-    "generate, paths",
+    "generate, paths, bound",
     [
-        (gen_acyclic, [("A", "B", 0.5), ("B", "C", 0.4)]),
-        (gen_cyclic_equilibrium, [("A", "B", 0.5), ("B", "C", 0.4), ("C", "A", 0.3)]),
+        (gen_acyclic, [("A", "B", 0.5), ("B", "C", 0.4)], 1.55),
+        (gen_cyclic_equilibrium, [("A", "B", 0.5), ("B", "C", 0.4), ("C", "A", 0.3)], 2.5),
     ],
     ids=["acyclic", "cyclic"],
 )
-def test_generators_peak_below_two_and_a_half_tables(generate, paths):
+def test_generators_peak_below_two_and_a_half_tables(generate, paths, bound):
     # the indicators are written into the error draws in place, so the peak
-    # is the table plus the n x 3 construct draws and scores
+    # is the table plus the n x 3 construct draws and scores; gen_acyclic
+    # writes each score over its own draw
     names = ("A", "B", "C")
     pop = PopulationSpec(
         constructs=tuple(
@@ -447,4 +448,4 @@ def test_generators_peak_below_two_and_a_half_tables(generate, paths):
     tables = []
     peak = traced_peak_tables(lambda: tables.append(generate(pop)))
     assert tables[0].values.shape == TABLE_SHAPE
-    assert peak < 2.5
+    assert peak < bound
