@@ -86,8 +86,8 @@ def estimate_cyclic(
 ) -> CyclicFit:
     """Fit the step-2 feedback model and pair coefficients with step-1 mirrors.
 
-    The step-1 source score joins the indicator correlation matrix as a new
-    row and column; target blocks reuse their prepared columns (an
+    The step-1 source score borders the correlation matrix of the targets'
+    prepared columns as a new row and column (an
     mca-single-item target is its collapsed score column), so the step-2 fit
     runs on moments alone, whatever the input. Pairing uses
     the direct sequential edge target -> source when present; otherwise the
@@ -121,21 +121,24 @@ def _fit_step2(corr: np.ndarray, weights: np.ndarray, block_index: dict[str, tup
                failures: list[str | None]) -> tuple:
     """Step 2 on a stack of R, given each one's step-1 source weights (m, s).
 
-    Each R gains the source score as its last row and column. A replicate
-    whose step 2 does not converge fails. Returns the ``_fit_stack`` result
-    and the step-2 block index.
+    The step-2 stack is at its own width: the source score is its first row
+    and column, then come the targets' columns in ``step2_spec`` order, so
+    ``_fit_stack`` reads it in place. A replicate whose step 2 does not
+    converge fails. Returns the ``_fit_stack`` result and the step-2 index.
     """
     source, *targets = step2_spec.block_names()
     lo, hi = block_index[source]
-    p = corr.shape[1]
     # the score's covariance with every column is R[:, source] w_source, and
     # its own variance is w_source' R w_source
     cov = (corr[:, :, lo:hi] @ weights[..., None])[..., 0]
-    extended = np.pad(corr, ((0, 0), (0, 1), (0, 1)))
-    extended[:, p, :p] = extended[:, :p, p] = cov
-    extended[:, p, p] = (cov[:, None, lo:hi] @ weights[..., None])[:, 0, 0]
-    index = {source: (p, p + 1), **{t: block_index[t] for t in targets}}
-    step2 = _fit_stack(extended, step2_spec, index, tol, max_iter, failures)
+    columns, index = [lo], {source: (0, 1)}  # lo holds the score's place
+    for t in targets:
+        index[t] = (len(columns), len(columns) + block_index[t][1] - block_index[t][0])
+        columns.extend(range(*block_index[t]))
+    stack = np.ascontiguousarray(corr[:, np.array(columns)[:, None], columns])
+    stack[:, 0, 1:] = stack[:, 1:, 0] = cov[:, columns[1:]]
+    stack[:, 0, 0] = (cov[:, None, lo:hi] @ weights[..., None])[:, 0, 0]
+    step2 = _fit_stack(stack, step2_spec, index, tol, max_iter, failures)
     failed = f"step-2 estimation did not converge in {max_iter} iterations"
     failures[:] = [f or (None if done else failed) for f, done in zip(failures, step2[5])]
     return step2, index

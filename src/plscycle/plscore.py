@@ -85,7 +85,8 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     path s -> t, R squared (m, k), and each replicate's iteration count and
     convergence flag. ``failures`` has one entry per replicate: one already
     set is not fitted, and a replicate that fails gets its first failure's
-    message there, as a lone fit would raise it.
+    message there, as a lone fit would raise it. R is read in place when it is
+    C-ordered and its columns are the model's, as in every stack built here.
     """
     if not tol > 0:  # rejects NaN too
         raise ValueError("tol must be positive")
@@ -98,7 +99,9 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         if block.mode in UNIT_MODES and hi - lo != 1:
             raise EstimationError(f"block '{block.name}' must be prepared to exactly one column")
     columns = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
-    r = corr[:, columns[:, None], columns]
+    # in C order, as a gathered copy is: a strided R changes matmul's rounding
+    in_place = corr.flags.c_contiguous and np.array_equal(columns, np.arange(corr.shape[1]))
+    r = corr if in_place else np.ascontiguousarray(corr[:, columns[:, None], columns])
     m, q = r.shape[:2]
     owner = np.repeat(np.arange(k), [hi - lo for lo, hi in bounds])  # each column's block
     cols, member = np.arange(q), np.eye(k)[owner]
@@ -132,7 +135,7 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         return w / scale[:, owner]
 
     rows = np.flatnonzero(live)
-    rr = r[rows]
+    rr = r if live.all() else r[rows]
     singular = np.zeros((len(rows), k), bool)
     for i in np.flatnonzero([block.mode == "formative" for block in spec.blocks]):
         block = np.flatnonzero(owner == i)
@@ -165,7 +168,7 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
 
     rows = np.flatnonzero(live)
     w_mat = member * w[rows][..., None]
-    cross = r[rows] @ w_mat
+    cross = (r if live.all() else r[rows]) @ w_mat
     cov = w_mat.transpose(0, 2, 1) @ cross
     std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
     score_corr = cov / (std[:, :, None] * std[:, None, :])

@@ -177,12 +177,17 @@ TABLE_SHAPE = (200_000, 11)
 TABLE_BYTES = TABLE_SHAPE[0] * TABLE_SHAPE[1] * 8
 
 
-def traced_peak_tables(call, held: int = 0) -> float:
-    """Peak traced memory of ``call()``, plus ``held`` bytes, in TABLE_SHAPE tables."""
+def traced_peak_bytes(call) -> int:
+    """Peak traced memory of ``call()`` in bytes; what it was given is not counted."""
     tracemalloc.start()
     tracemalloc.reset_peak()
     try:
         call()
-        return (held + tracemalloc.get_traced_memory()[1]) / TABLE_BYTES
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def traced_peak_tables(call, held: int = 0) -> float:
+    """Peak traced memory of ``call()``, plus ``held`` bytes, in TABLE_SHAPE tables."""
+    return (held + traced_peak_bytes(call)) / TABLE_BYTES

@@ -16,10 +16,11 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import data_space_oracle as oracle
@@ -29,17 +30,21 @@ from plscycle import (
     EstimationError,
     assess,
     bootstrap,
+    build_feedback_model,
     estimate_cyclic,
     fit_pls,
+    gen_acyclic,
     parse_model,
+    parse_population,
     plscore,
+    prepare_blocks,
     resample,
 )
 from plscycle.dataset import Moments
-from plscycle.modelspec import SCHEMES
+from plscycle.modelspec import MODES, SCHEMES, UNIT_MODES
 from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-from conftest import TABLE_SHAPE, make_prepared, point_fits, traced_peak_tables
+from conftest import TABLE_SHAPE, make_prepared, point_fits, traced_peak_bytes, traced_peak_tables
 
 TOL = 1e-10
 
@@ -267,14 +272,16 @@ def test_bootstrap_makes_no_point_fit_and_replicates_on_moments(monkeypatch):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec)
     fits = point_fits(data, spec)
-    assert [corr.shape for corr, _ in point + step2] == [(1, 11, 11), (1, 12, 12)]
+    # step 2 runs at its own width: the step-1 score and the targets' 3 + 4 columns
+    assert [corr.shape for corr, _ in point + step2] == [(1, 11, 11), (1, 8, 8)]
     point.clear()
     step2.clear()
     bootstrap(data, spec, b=100, seed=2, **fits)
     assert point == []
-    # the replicates reach the core as one stack of R: 11 columns, and the step-1 score
+    # the replicates reach the core as one stack of R: 11 columns, then the
+    # step-1 score and the targets' columns
     assert [corr.shape for corr, _ in step1] == [(100, 11, 11)]
-    assert [corr.shape for corr, _ in step2] == [(100, 12, 12)]
+    assert [corr.shape for corr, _ in step2] == [(100, 8, 8)]
 
 
 @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-2])
@@ -461,6 +468,204 @@ def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
         lambda: halves.extend(resample._half_moments(data, 0, [(0, 50, 100)], False)))
     assert [len(corr) for corr in halves] == [50]
     assert peak < 0.65
+
+
+def padded_step2(corr, weights, block_index, step2_spec, tol, max_iter, failures):
+    """``cyclic._fit_step2`` as it was: every R padded by the score's row and
+    column, which ``_fit_stack`` then gathers to the step-2 columns."""
+    source, *targets = step2_spec.block_names()
+    lo, hi = block_index[source]
+    p = corr.shape[1]
+    cov = (corr[:, :, lo:hi] @ weights[..., None])[..., 0]
+    extended = np.pad(corr, ((0, 0), (0, 1), (0, 1)))
+    extended[:, p, :p] = extended[:, :p, p] = cov
+    extended[:, p, p] = (cov[:, None, lo:hi] @ weights[..., None])[:, 0, 0]
+    index = {source: (p, p + 1), **{t: block_index[t] for t in targets}}
+    step2 = plscore._fit_stack(extended, step2_spec, index, tol, max_iter, failures)
+    failed = f"step-2 estimation did not converge in {max_iter} iterations"
+    failures[:] = [f or (None if done else failed) for f, done in zip(failures, step2[5])]
+    return step2, index
+
+
+# every mode among the step-2 targets, listed out of declaration order
+MIXED_TARGETS = {
+    "blocks": [
+        {"name": "F", "mode": "formative", "indicators": ["f1", "f2", "f3"]},
+        {"name": "M", "mode": "mca-single-item", "indicators": ["m1", "m2", "m3"]},
+        {"name": "R", "indicators": ["r1", "r2"]},
+        {"name": "S", "mode": "single-item", "indicators": ["s"]},
+        {"name": "Y", "indicators": ["y1", "y2", "y3"]},
+    ],
+    "paths": [{"source": "F", "target": "M"}, {"source": "M", "target": "R"},
+              {"source": "R", "target": "Y"}, {"source": "S", "target": "Y"}],
+    "cyclic": {"source": "Y", "targets": ["S", "M", "F", "R"]},
+}
+
+
+@st.composite
+def stacked_cases(draw):
+    """A model document with a cyclic section, the replicates of an m-stack
+    that have already failed, a seed for the stack, and max_iter."""
+    k = draw(st.integers(2, 6))
+    modes = draw(st.lists(st.sampled_from(MODES), min_size=k, max_size=k))
+    sizes = [1 if mode == "single-item" else draw(st.integers(1 if mode == "reflective" else 2, 4))
+             for mode in modes]
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    source = draw(st.integers(0, k - 1))
+    others = [i for i in range(k) if i != source]
+    targets = draw(st.lists(st.sampled_from(others), min_size=1, max_size=len(others), unique=True))
+    m = draw(st.integers(1, 6))
+    doc = {
+        "blocks": [
+            {"name": f"C{i}", "mode": mode, "indicators": [f"c{i}_{j}" for j in range(size)]}
+            for i, (mode, size) in enumerate(zip(modes, sizes))
+        ],
+        "paths": [{"source": f"C{i}", "target": f"C{j}"}
+                  for (i, j), keep in zip(pairs, edges) if keep],
+        "cyclic": {"source": f"C{source}", "targets": [f"C{t}" for t in targets]},
+        "scheme": draw(st.sampled_from(SCHEMES)),
+    }
+    failed = draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True))
+    return doc, m, tuple(failed), draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([1, 300]))
+
+
+def replicate_stack(spec, m, seed, extra=0):
+    """A prepared layout of ``spec`` (an mca block is its one score column) and
+    an (m, p + extra, p + extra) stack of sample correlation matrices of
+    columns that load on correlated constructs, the ``extra`` ones last."""
+    rng = np.random.default_rng(seed)
+    index, sizes = {}, []
+    for block in spec.blocks:
+        sizes.append(1 if block.mode in UNIT_MODES else len(block.indicators))
+        index[block.name] = (sum(sizes) - sizes[-1], sum(sizes))
+    k, n = len(sizes), 60
+    owner = np.repeat(np.arange(k), sizes)
+    stack = []
+    for _ in range(m):
+        latent = rng.standard_normal((n, k)) @ (np.eye(k) + rng.uniform(-0.5, 0.5, (k, k)))
+        x = latent[:, owner] * rng.uniform(0.4, 0.9, len(owner)) + 0.6 * rng.standard_normal(
+            (n, len(owner)))
+        stack.append(np.corrcoef(np.hstack([x, rng.standard_normal((n, extra))]), rowvar=False))
+    return index, np.array(stack)
+
+
+def failing(m, failed, corr):
+    """The ``failures`` of an m-stack whose ``failed`` replicates failed before
+    the fit, their R set to NaN as a degenerate resample can leave it."""
+    corr[list(failed)] = np.nan
+    return ["degenerate resampled column 'x'" if j in failed else None for j in range(m)]
+
+
+def assert_same_stack_fits(a, b):
+    """Two (``_fit_stack`` result, failures) pairs, equal bit for bit."""
+    (result_a, failures_a), (result_b, failures_b) = a, b
+    assert failures_a == failures_b
+    for part_a, part_b in zip(result_a, result_b, strict=True):
+        assert np.array_equal(part_a, part_b, equal_nan=True)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(stacked_cases())
+@example((MIXED_TARGETS, 5, (2,), 0, DEFAULT_MAX_ITER))
+@example((MIXED_TARGETS, 4, (), 1, 1))
+def test_step2_at_its_own_width_is_the_padded_stack_bit_for_bit(case):
+    doc, m, failed, seed, max_iter = case
+    spec = parse_model(doc)
+    step2_spec = build_feedback_model(SimpleNamespace(constructs=spec.block_names()), spec)
+    index, corr = replicate_stack(spec, m, seed)
+    failures = failing(m, failed, corr)
+    lo, hi = index[spec.cyclic.source]
+    raw = np.random.default_rng(seed).uniform(0.2, 1.0, (m, hi - lo))
+    weights = raw / np.sqrt(np.einsum("ms,mst,mt->m", raw, corr[:, lo:hi, lo:hi], raw))[:, None]
+    fits = []
+    for step2 in (cyclic._fit_step2, padded_step2):
+        after = list(failures)
+        result, _ = step2(corr, weights, index, step2_spec, DEFAULT_TOL, max_iter, after)
+        fits.append((result, after))
+    assert_same_stack_fits(*fits)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(stacked_cases(), st.data())
+def test_a_stack_with_columns_outside_the_model_fits_as_its_own_r(case, data):
+    # the gather path of _fit_stack, as a Moments with more columns than the
+    # model takes it, against the in-place path on the model's own R
+    doc, m, failed, seed, max_iter = case
+    spec = parse_model(doc)
+    index, wide = replicate_stack(spec, m, seed, extra=2)
+    p = wide.shape[1] - 2
+    own = np.ascontiguousarray(wide[:, :p, :p])
+    # one outside column between two blocks (or first), the other last
+    at = data.draw(st.sampled_from(sorted({lo for lo, _ in index.values()})), label="at")
+    order = [*range(at), p, *range(at, p), p + 1]
+    wide = wide[:, order][:, :, order]
+    shifted = {name: (lo + (lo >= at), hi + (lo >= at)) for name, (lo, hi) in index.items()}
+    fits = []
+    for corr, block_index in ((wide, shifted), (own, index)):
+        failures = failing(m, failed, corr)
+        fits.append((plscore._fit_stack(corr, spec, block_index, DEFAULT_TOL, max_iter, failures),
+                     failures))
+    assert_same_stack_fits(*fits)
+
+
+def test_a_strided_r_fits_as_its_c_ordered_copy():
+    # R is read in place only in C order, and a gathered R is made C-ordered:
+    # on a strided R, the matrix-vector products of a one-block model round
+    # differently
+    spec = parse_model({"blocks": [{"name": "A", "indicators": ["a1", "a2", "a3", "a4"]}]})
+    index, wide = replicate_stack(spec, 30, seed=0, extra=1)
+    corr = np.ascontiguousarray(wide[:, :4, :4])
+    strided = np.ascontiguousarray(corr.transpose(1, 2, 0)).transpose(2, 0, 1)
+    assert not strided.flags.c_contiguous and np.array_equal(strided, corr)
+    fits = [(plscore._fit_stack(r, spec, index, DEFAULT_TOL, DEFAULT_MAX_ITER, [None] * 30), None)
+            for r in (corr, strided, wide)]
+    assert_same_stack_fits(fits[0], fits[1])
+    assert_same_stack_fits(fits[0], fits[2])
+
+
+# a wide survey: 33 prepared columns in blocks of every mode, and a 7-target step 2
+WIDE_BLOCKS = [("C1", 5, "reflective"), ("C2", 5, "reflective"), ("C3", 4, "formative"),
+               ("C4", 6, "reflective"), ("C5", 5, "mca-single-item"), ("C6", 5, "reflective"),
+               ("C7", 1, "single-item"), ("C8", 6, "reflective")]
+WIDE_PATHS = [("C1", "C2", 0.5), ("C1", "C3", 0.4), ("C2", "C4", 0.4), ("C3", "C4", 0.3),
+              ("C4", "C5", 0.5), ("C2", "C5", 0.2), ("C5", "C6", 0.4), ("C4", "C6", 0.3),
+              ("C6", "C7", 0.5), ("C6", "C8", 0.4), ("C7", "C8", 0.3)]
+
+
+def test_stacked_fits_peak_near_their_stack():
+    # the fits read R in place (step 2 at its own 28 columns), so what they
+    # hold beside their 100 x 33 x 33 stack is their per-iteration temporaries
+    pop, _ = parse_population({
+        "kind": "acyclic", "n": 2_000, "seed": 1,
+        "constructs": [{"name": name, "single_item": True} if size == 1
+                       else {"name": name, "loadings": [0.75] * size}
+                       for name, size, _ in WIDE_BLOCKS],
+        "paths": [{"source": s, "target": t, "coefficient": c} for s, t, c in WIDE_PATHS],
+    })
+    table = gen_acyclic(pop)
+    binary = [j for j, col in enumerate(table.header) if col.startswith("C5")]
+    table.values[:, binary] = table.values[:, binary] > 0
+    spec = parse_model({
+        "blocks": [{"name": name, "mode": mode,
+                    "indicators": [f"{name}_{j + 1}" for j in range(size)]}
+                   for name, size, mode in WIDE_BLOCKS],
+        "paths": [{"source": s, "target": t} for s, t, _ in WIDE_PATHS],
+        "cyclic": {"source": "C8"},
+    })
+    data = prepare_blocks(table, spec)
+    (corr, failures), = resample._replicate_moments(data, seed=0, b=100)
+    assert corr.shape == (100, 33, 33) and failures == [None] * 100
+    fits = []
+    peak1 = traced_peak_bytes(lambda: fits.append(plscore._fit_stack(
+        corr, spec, data.block_index, DEFAULT_TOL, DEFAULT_MAX_ITER, list(failures))))
+    weights = np.ascontiguousarray(fits[0][0][:, slice(*data.block_index["C8"])])
+    step2_spec = build_feedback_model(SimpleNamespace(constructs=spec.block_names()), spec)
+    peak2 = traced_peak_bytes(lambda: cyclic._fit_step2(
+        corr, weights, data.block_index, step2_spec, DEFAULT_TOL, DEFAULT_MAX_ITER, list(failures)))
+    # about 2.0 and 1.9 stacks; gathering R and padding step 2's stack made 3.7 each
+    assert peak1 / corr.nbytes < 2.75
+    assert peak2 / corr.nbytes < 2.75
 
 
 REAL_RNG = resample._replicate_rng
