@@ -295,10 +295,12 @@ def _payload_size(pipe) -> int | None:
     return int.from_bytes(head, "little") if len(head) == 8 else None
 
 
-def _receive(pipe, into: np.ndarray) -> bool:
-    """Read a forked child's result into ``into``; True if it filled it exactly."""
-    view = memoryview(into).cast("B")
-    return _payload_size(pipe) == view.nbytes and pipe.readinto(view) == view.nbytes
+def _receive(pipe, *into: np.ndarray) -> bool:
+    """Read a forked child's result into each of ``into`` in turn; True if it filled
+    them exactly."""
+    views = [memoryview(part).cast("B") for part in into]
+    return (_payload_size(pipe) == sum(view.nbytes for view in views)
+            and all(pipe.readinto(view) == view.nbytes for view in views))
 
 
 def _copy(pipe, out) -> bool:

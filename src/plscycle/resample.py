@@ -3,20 +3,21 @@
 Each replicate draws rows with replacement and re-runs the full pipeline on
 the resample's indicator correlation matrix: the PLS fit and, when given the
 point step-2 fit, both steps of the feedback estimator, each as one stacked
-fit of a chunk's replicates. A replicate's coefficients are recorded
-sign-aligned against the given point fits, by one sign per block, preventing
-the arbitrary orientation of composite scores from inflating the spread.
-Replicate r draws from a counter-based generator keyed by (seed, r), so
-results do not depend on execution order.
+fit of the single stack of all B matrices. A replicate's coefficients are
+recorded sign-aligned against the given point fits, by one sign per block,
+preventing the arbitrary orientation of composite scores from inflating the
+spread. Replicate r draws from a counter-based generator keyed by (seed, r),
+so results do not depend on execution order.
 
-The drawn rows are never copied. Each half of a chunk of replicates keeps
-its per-row draw counts as one count matrix C (replicates x rows) of 4-bit
-counts, two rows a byte; for each block of rows, one GEMM multiplies C,
-unpacked to float64, by the rows and their products x_i*x_j (i <= j),
-summing every replicate's first and second moments, and each covariance is
-then M2/n - m m'. Where that work pays for a fork, a forked child computes
-the back halves. A replicate with a nearly constant column, or a row drawn
-more than 15 times, takes the exact centred moments of
+The drawn rows are never copied. Chunks of replicates bound the count matrix
+only: each half of a chunk keeps its per-row draw counts as one count matrix
+C (replicates x rows) of 4-bit counts, two rows a byte; for each block of
+rows, one GEMM multiplies C, unpacked to float64, by the rows and their
+products x_i*x_j (i <= j), summing every replicate's first and second
+moments, and each covariance is then M2/n - m m', written into the
+replicate's place in the stack. Where that work pays for a fork, a forked
+child computes the back halves. A replicate with a nearly constant column, or
+a row drawn more than 15 times, takes the exact centred moments of
 ``_resampled_moments``, which make every zero-variance decision.
 """
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,10 +149,10 @@ def _unpacked(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return rows[:, : hi - lo].astype(np.float64)
 
 
-def _batched_correlations(data: PreparedData, counts: np.ndarray,
-                          chunk: int) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation matrices for each replicate of the packed ``counts``, and
-    which of them hold.
+def _batched_correlations(data: PreparedData, counts: np.ndarray, chunk: int,
+                          corr: np.ndarray) -> np.ndarray:
+    """Write the correlation matrix of each replicate of the packed ``counts``
+    into ``corr``, and return which of them hold.
 
     A replicate whose smallest column variance is not clearly above rounding
     is marked as not holding; its matrix is then meaningless. The row blocks
@@ -172,25 +172,27 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray,
         np.multiply(xb[:, upper[0]], xb[:, upper[1]], out=zb[:, p:])
         sums += _unpacked(counts, lo, lo + len(xb)) @ zb
     sums /= n
-    cov = np.empty((len(counts), p, p))
-    cov[:, upper[0], upper[1]] = cov[:, upper[1], upper[0]] = sums[:, p:]
-    scale = np.maximum(np.diagonal(cov, axis1=1, axis2=2), 1.0)
-    cov -= sums[:, :p, None] * sums[:, None, :p]
-    var = np.diagonal(cov, axis1=1, axis2=2)
+    corr[:, upper[0], upper[1]] = corr[:, upper[1], upper[0]] = sums[:, p:]
+    scale = np.maximum(np.diagonal(corr, axis1=1, axis2=2), 1.0)
+    corr -= sums[:, :p, None] * sums[:, None, :p]
+    var = np.diagonal(corr, axis1=1, axis2=2)
     holds = np.all(var > _VARIANCE_CUT * scale, axis=1)
     std = np.sqrt(np.where(holds[:, None], var, 1.0))
-    return cov / (std[:, :, None] * std[:, None, :]), holds
+    corr /= std[:, :, None] * std[:, None, :]
+    return holds
 
 
-def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool) -> Iterator[np.ndarray]:
-    """The correlation matrices of replicates [start, mid), or [mid, stop) if
-    ``back``, of each chunk (start, mid, stop); NaN where one has a zero variance."""
+def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool,
+                  corr: np.ndarray) -> None:
+    """Write the correlation matrices of replicates [start, mid), or [mid, stop) if
+    ``back``, of each chunk (start, mid, stop) into their rows of ``corr``; NaN where
+    one has a zero variance."""
     n = data.matrix.shape[0]
     # the longest half, two rows a byte
     buffer = np.empty(((chunks[0][2] - chunks[0][0] + 1) // 2, (n + 1) // 2), np.uint8)
     for start, mid, stop in chunks:
         first, last = (mid, stop) if back else (start, mid)
-        counts = buffer[: last - first]
+        counts, half = buffer[: last - first], corr[first:last]
         wide = {}
         for i in range(len(counts)):
             drawn = np.bincount(_replicate_rng(seed, first + i).integers(0, n, size=n), minlength=n)
@@ -199,35 +201,33 @@ def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool) -> It
             nibbles = drawn.astype(np.uint8)
             counts[i] = nibbles[0::2]
             counts[i, : n // 2] |= nibbles[1::2] << 4
-        corr, holds = _batched_correlations(data, counts, stop - start)
+        holds = _batched_correlations(data, counts, stop - start, half)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
-                    corr[i] = _resampled_moments(
+                    half[i] = _resampled_moments(
                         data, wide[i] if i in wide else _unpacked(counts[i:i + 1], 0, n)[0])
                 except DataError:
-                    corr[i] = np.nan
-        yield corr
+                    half[i] = np.nan
 
 
-def _replicate_moments(data: PreparedData, seed: int, b: int) -> Iterator[tuple[np.ndarray, list]]:
-    """Each chunk's replicate correlation matrices in r order, and their failures:
-    None, or the message of a replicate whose exact moments have a zero variance.
-    A chunk's halves are two GEMMs wherever they run, so a forked child can
-    compute the back halves as this process computes the front ones."""
+def _replicate_moments(data: PreparedData, seed: int, b: int) -> tuple[np.ndarray, list]:
+    """The (b, p, p) stack of replicate correlation matrices in r order, and their
+    failures: None, or the message of a replicate whose exact moments have a zero
+    variance. Chunks of replicates bound the count matrix; each chunk's halves are
+    two GEMMs wherever they run, so a forked child can compute the back halves as
+    this process computes the front ones."""
     n, p = data.matrix.shape
     size = max(1, min(b, _COUNT_BUFFER_BYTES // n))
     chunks = [(lo, lo + min(size, b - lo) // 2, min(lo + size, b)) for lo in range(0, b, size)]
-    back = np.empty((sum(stop - mid for _, mid, stop in chunks), p, p))
+    corr = np.empty((b, p, p))
+    backs = [corr[mid:stop] for _, mid, stop in chunks]  # in a child, views of its own copy
     pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
-    with _forked(lambda: list(_half_moments(data, seed, chunks, True)), pays) as pipe:
-        fronts = list(_half_moments(data, seed, chunks, False))
-        if pipe is not None and _receive(pipe, back):
-            backs = np.split(back, np.cumsum([stop - mid for _, mid, stop in chunks[:-1]]))
-        else:
-            backs = _half_moments(data, seed, chunks, True)
-    for corr in map(np.concatenate, zip(fronts, backs)):
-        yield corr, [_ZERO_VARIANCE if failed else None for failed in np.isnan(corr[:, 0, 0])]
+    with _forked(lambda: _half_moments(data, seed, chunks, True, corr) or backs, pays) as pipe:
+        _half_moments(data, seed, chunks, False, corr)
+        if pipe is None or not _receive(pipe, *backs):
+            _half_moments(data, seed, chunks, True, corr)
+    return corr, [_ZERO_VARIANCE if failed else None for failed in np.isnan(corr[:, 0, 0])]
 
 
 def _stats(estimate: float, reps: np.ndarray, level: float) -> CoefficientStats:
@@ -287,48 +287,43 @@ def bootstrap(
     sources = np.array([names.index(s) for s, _ in fit.paths], int)
     targets = np.array([names.index(t) for _, t in fit.paths], int)
     source = names.index(cyclic.step2_spec.blocks[0].name) if cyclic is not None else None
-    chunks, reasons, last_failure = [], Counter(), ""
-    for corr, failures in _replicate_moments(data, seed, b):
-        weights, loadings, paths, _, _, done = _fit_stack(corr, spec, data.block_index, tol,
-                                                          max_iter, failures)
-        failures[:] = [f or (None if d else "replicate weights did not converge")
-                       for f, d in zip(failures, done)]
-        if cyclic is not None:
-            source_weights = weights[:, member[: len(loading_keys), source] == 1]
-            (weights2, _, paths2, *_), _ = _fit_step2(corr, source_weights, data.block_index,
-                                                      cyclic.step2_spec, tol, max_iter, failures)
-            weights = np.hstack([weights, weights2])
-        # -1.0 for each block whose weights point away from the reference's
-        sign = np.where((weights * reference) @ member < 0, -1.0, 1.0)
-        column = [paths[:, targets, sources] * sign[:, sources] * sign[:, targets]]
-        column.append(loadings * (sign @ member.T)[:, : len(loading_keys)])
-        if cyclic is not None:
-            # step 2 ran on the unaligned fit: its single-item source makes it
-            # exactly sign-equivariant there (negation is exact), so a flipped
-            # source leaves the target weights bitwise the same and negates each
-            # path; the aligned path is the raw one times the source's step-1
-            # sign and the target's step-2 sign
-            column.append(paths2[:, 1:, 0] * sign[:, [source]] * sign[:, len(names) + 1:])
-        chunks.append(np.hstack(column)[[failure is None for failure in failures]].T)
-        # a failure's reason is the leading clause of its message
-        reasons.update(re.split(r":| in ", f, maxsplit=1)[0] for f in failures if f)
-        last_failure = next((f for f in reversed(failures) if f), last_failure)
-
-    failures = reasons.total()
-    if failures > MAX_FAILURE_RATE * b:
+    corr, failures = _replicate_moments(data, seed, b)
+    weights, loadings, paths, _, _, done = _fit_stack(corr, spec, data.block_index, tol, max_iter,
+                                                      failures)
+    failures = [f or (None if d else "replicate weights did not converge")
+                for f, d in zip(failures, done)]
+    if cyclic is not None:
+        source_weights = weights[:, member[: len(loading_keys), source] == 1]
+        (weights2, _, paths2, *_), _ = _fit_step2(corr, source_weights, data.block_index,
+                                                  cyclic.step2_spec, tol, max_iter, failures)
+        weights = np.hstack([weights, weights2])
+    # -1.0 for each block whose weights point away from the reference's
+    sign = np.where((weights * reference) @ member < 0, -1.0, 1.0)
+    column = [paths[:, targets, sources] * sign[:, sources] * sign[:, targets]]
+    column.append(loadings * (sign @ member.T)[:, : len(loading_keys)])
+    if cyclic is not None:
+        # step 2 ran on the unaligned fit: its single-item source makes it
+        # exactly sign-equivariant there (negation is exact), so a flipped
+        # source leaves the target weights bitwise the same and negates each
+        # path; the aligned path is the raw one times the source's step-1
+        # sign and the target's step-2 sign
+        column.append(paths2[:, 1:, 0] * sign[:, [source]] * sign[:, len(names) + 1:])
+    reps = np.hstack(column)[[failure is None for failure in failures]].T
+    # a failure's reason is the leading clause of its message
+    reasons = Counter(re.split(r":| in ", f, maxsplit=1)[0] for f in failures if f)
+    if reasons.total() > MAX_FAILURE_RATE * b:
         tally = ", ".join(f"{reason} {count}" for reason, count in reasons.items())
         raise EstimationError(
-            f"bootstrap failure rate {failures}/{b} exceeds {MAX_FAILURE_RATE:.0%}; "
-            f"failures: {tally}; last failure: {last_failure}"
+            f"bootstrap failure rate {reasons.total()}/{b} exceeds {MAX_FAILURE_RATE:.0%}; "
+            f"failures: {tally}; last failure: {next(f for f in reversed(failures) if f)}"
         )
 
-    reps = np.hstack(chunks)
     stats = [_stats(e, r, level) for e, r in zip(estimates, reps)]
     a, c = len(fit.paths), len(fit.paths) + len(loading_keys)
     return BootstrapResult(
         b_requested=b,
         b_effective=reps.shape[1],
-        failures=failures,
+        failures=reasons.total(),
         level=level,
         seed=seed,
         paths=dict(zip(keys[:a], stats[:a])),

@@ -15,6 +15,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -44,7 +45,9 @@ from plscycle.dataset import Moments
 from plscycle.modelspec import MODES, SCHEMES, UNIT_MODES
 from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-from conftest import TABLE_SHAPE, make_prepared, point_fits, traced_peak_bytes, traced_peak_tables
+from conftest import (
+    TABLE_SHAPE, in_child_only, make_prepared, point_fits, traced_peak_bytes, traced_peak_tables,
+)
 
 TOL = 1e-10
 
@@ -348,10 +351,17 @@ def exact_moments(data, seed, r):
 
 def batched_moments(data, seed, b):
     """Each replicate's correlation matrix as ``bootstrap`` obtains it, or its DataError."""
-    out = []
-    for corr, failures in resample._replicate_moments(data, seed, b):
-        out += [DataError(failure) if failure else r for r, failure in zip(corr, failures)]
-    return out
+    corr, failures = resample._replicate_moments(data, seed, b)
+    return [DataError(failure) if failure else r for r, failure in zip(corr, failures)]
+
+
+def recorded_halves(monkeypatch):
+    """The (replicates, chunk length) of every ``_batched_correlations`` call in this process."""
+    calls = []
+    real = resample._batched_correlations
+    monkeypatch.setattr(resample, "_batched_correlations", lambda data, counts, chunk, corr:
+                        calls.append((len(counts), chunk)) or real(data, counts, chunk, corr))
+    return calls
 
 
 def exact_path_counts(monkeypatch):
@@ -386,11 +396,14 @@ def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=n)
     set_budgets(monkeypatch, data, chunk, rows)
-    exact = exact_path_counts(monkeypatch)
-    chunks = list(resample._replicate_moments(data, seed=3, b=100))
+    exact, halves = exact_path_counts(monkeypatch), recorded_halves(monkeypatch)
+    corr, failures = resample._replicate_moments(data, seed=3, b=100)
     lengths = [min(chunk, 100 - start) for start in range(0, 100, chunk)]
-    assert [len(corr) for corr, _ in chunks] == lengths
-    assert exact == [] and all(failures == [None] * len(corr) for corr, failures in chunks)
+    # the front halves of every chunk, then the back ones, all into one stack
+    assert halves == [(size // 2, size) for size in lengths] + [
+        (size - size // 2, size) for size in lengths]
+    assert corr.shape == (100, 11, 11) and corr.flags.c_contiguous
+    assert exact == [] and failures == [None] * 100
     assert_same_moments(data, seed=3, b=100)
 
 
@@ -455,7 +468,7 @@ def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chu
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=n)
     set_budgets(monkeypatch, data, chunk, rows)
-    got = np.concatenate([corr for corr, _ in resample._replicate_moments(data, seed=5, b=100)])
+    got, _ = resample._replicate_moments(data, seed=5, b=100)
     assert np.array_equal(got, one_byte_moments(data, seed=5, b=100), equal_nan=True)
 
 
@@ -463,10 +476,9 @@ def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
     # beside the prepared matrix: the half's 4-bit counts (50 x n/2 bytes,
     # 0.28 tables) and one replicate's int64 draw and counts
     data = cyclic_data(parse_model(CYCLIC_MODEL), n=TABLE_SHAPE[0])
-    halves = []
-    peak = traced_peak_tables(
-        lambda: halves.extend(resample._half_moments(data, 0, [(0, 50, 100)], False)))
-    assert [len(corr) for corr in halves] == [50]
+    corr = np.full((100, 11, 11), np.nan)
+    peak = traced_peak_tables(lambda: resample._half_moments(data, 0, [(0, 50, 100)], False, corr))
+    assert not np.isnan(corr[:50]).any() and np.isnan(corr[50:]).all()
     assert peak < 0.65
 
 
@@ -633,9 +645,8 @@ WIDE_PATHS = [("C1", "C2", 0.5), ("C1", "C3", 0.4), ("C2", "C4", 0.4), ("C3", "C
               ("C6", "C7", 0.5), ("C6", "C8", 0.4), ("C7", "C8", 0.3)]
 
 
-def test_stacked_fits_peak_near_their_stack():
-    # the fits read R in place (step 2 at its own 28 columns), so what they
-    # hold beside their 100 x 33 x 33 stack is their per-iteration temporaries
+def wide_data():
+    """The wide survey's spec and its 2,000 prepared rows."""
     pop, _ = parse_population({
         "kind": "acyclic", "n": 2_000, "seed": 1,
         "constructs": [{"name": name, "single_item": True} if size == 1
@@ -653,8 +664,14 @@ def test_stacked_fits_peak_near_their_stack():
         "paths": [{"source": s, "target": t} for s, t, _ in WIDE_PATHS],
         "cyclic": {"source": "C8"},
     })
-    data = prepare_blocks(table, spec)
-    (corr, failures), = resample._replicate_moments(data, seed=0, b=100)
+    return spec, prepare_blocks(table, spec)
+
+
+def test_stacked_fits_peak_near_their_stack():
+    # the fits read R in place (step 2 at its own 28 columns), so what they
+    # hold beside their 100 x 33 x 33 stack is their per-iteration temporaries
+    spec, data = wide_data()
+    corr, failures = resample._replicate_moments(data, seed=0, b=100)
     assert corr.shape == (100, 33, 33) and failures == [None] * 100
     fits = []
     peak1 = traced_peak_bytes(lambda: fits.append(plscore._fit_stack(
@@ -666,6 +683,26 @@ def test_stacked_fits_peak_near_their_stack():
     # about 2.0 and 1.9 stacks; gathering R and padding step 2's stack made 3.7 each
     assert peak1 / corr.nbytes < 2.75
     assert peak2 / corr.nbytes < 2.75
+
+
+def test_bootstrap_holds_one_stack_when_it_fits(monkeypatch):
+    # the moments are written into their places in the one stack, so none of
+    # their halves outlives the moment step; a stack built by joining chunks
+    # and halves held 2.6 stacks at the fit and peaked at 4.6
+    spec, data = wide_data()
+    fits = point_fits(data, spec)
+    held, real = [], resample._fit_stack
+
+    def fit_stack(corr, *args):
+        held.append((tracemalloc.get_traced_memory()[0], corr.nbytes))
+        return real(corr, *args)
+
+    monkeypatch.setattr(resample, "_fit_stack", fit_stack)
+    peak = traced_peak_bytes(lambda: bootstrap(data, spec, b=100, seed=0, **fits))
+    (at_fit, stack), = held
+    assert stack == 100 * 33 * 33 * 8
+    assert at_fit / stack < 1.5
+    assert peak / stack < 3.5
 
 
 REAL_RNG = resample._replicate_rng
@@ -703,14 +740,13 @@ def test_rows_drawn_past_4_bits_take_the_exact_path(stubbed_draws, monkeypatch):
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=4, rows=64)
     exact = exact_path_counts(monkeypatch)
-    chunks = list(resample._replicate_moments(data, seed=2, b=12))
+    _, failures = resample._replicate_moments(data, seed=2, b=12)
     drawn = {r: np.bincount(StubbedDraw(2, r).integers(0, 1000, size=1000), minlength=1000)
              for r in (5, 6, 7, 8)}
     assert drawn[5].max() >= 300 and [drawn[r].max() for r in (6, 7, 8)] == [1000, 15, 16]
     # the front halves [4, 6) and [8, 10) run first; the replicate whose
     # busiest row is drawn 15 times stays batched
     assert [counts.tolist() for counts in exact] == [drawn[r].tolist() for r in (5, 8, 6)]
-    failures = [failure for _, chunk in chunks for failure in chunk]
     assert failures == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     assert_same_moments(data, seed=2, b=12)
     assert isinstance(batched_moments(data, seed=2, b=12)[6], DataError)
@@ -731,8 +767,9 @@ def test_stubbed_heavy_and_degenerate_replicates_match_data_space_reference(stub
 
 
 def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeypatch):
-    # one stacked step-1 fit and one stacked step 2 per chunk of replicates;
-    # the point fits are the caller's, so resample has no name to make them
+    # one stacked step-1 fit and one stacked step 2 on all B replicates, however
+    # many chunks their count matrices take; the point fits are the caller's,
+    # so resample has no name to make them
     assert not hasattr(resample, "fit_pls") and not hasattr(resample, "estimate_cyclic")
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
@@ -741,8 +778,40 @@ def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeyp
     set_budgets(monkeypatch, data, chunk=40, rows=64)
     boot = bootstrap(data, spec, b=100, seed=2, **fits)
     assert boot.b_effective == 99
-    assert [len(corr) for corr, _ in step1] == [40, 40, 20]
-    assert [len(corr) for corr, _ in step2] == [40, 40, 20]
+    assert [len(corr) for corr, _ in step1] == [100]
+    assert [len(corr) for corr, _ in step2] == [100]
+
+
+@pytest.mark.parametrize("cuts", [[3, 7], [6], [3, 9]])
+def test_a_stacked_fit_is_the_fits_of_its_slices_bit_for_bit(stubbed_draws, cuts):
+    # bootstrap fits all its replicates as one stack, whatever chunks their
+    # counts took. Replicate 2 has failed before the fit, 5 stops short of
+    # convergence at 6 iterations (the others take 4) and 6 has a zero variance.
+    # Each slice keeps two replicates live through both steps: with one, the
+    # fit's (m, q) @ (q, k) products become matrix-vector products, which may
+    # round differently
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    step2_spec = point_fits(data, spec)["cyclic"].step2_spec
+    corr, failures = resample._replicate_moments(data, 2, 12)
+    failures[2] = "singular system: collinear predecessors of 'IU'"
+
+    def fit(corr, failures):
+        step1 = plscore._fit_stack(corr, spec, data.block_index, DEFAULT_TOL, 6, failures)
+        failures[:] = [f or (None if done else "replicate weights did not converge")
+                       for f, done in zip(failures, step1[5])]
+        weights = np.ascontiguousarray(step1[0][:, slice(*data.block_index["IU"])])
+        step2, _ = cyclic._fit_step2(corr, weights, data.block_index, step2_spec, DEFAULT_TOL, 6,
+                                     failures)
+        return [*step1, *step2], failures
+
+    whole, whole_failures = fit(corr, list(failures))
+    parts = [fit(corr[lo:hi], failures[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, 12])]
+    assert whole_failures == [f for _, part in parts for f in part]
+    assert [(j, f.split(" ")[0]) for j, f in enumerate(whole_failures) if f] == [
+        (2, "singular"), (5, "replicate"), (6, "zero")]
+    for j, out in enumerate(whole):
+        assert out.tobytes() == np.concatenate([outs[j] for outs, _ in parts]).tobytes()
 
 
 def on_one_cpu(monkeypatch, work):
@@ -758,14 +827,14 @@ def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, 
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=8, rows=64)
-    serial = on_one_cpu(monkeypatch, lambda: list(resample._replicate_moments(data, 2, 12)))
+    serial = on_one_cpu(monkeypatch, lambda: resample._replicate_moments(data, 2, 12))
     assert forks == []
-    forked = list(resample._replicate_moments(data, 2, 12))
+    halves = recorded_halves(monkeypatch)
+    forked = resample._replicate_moments(data, 2, 12)
     assert len(forks) == 1
-    assert [(corr.tobytes(), failures) for corr, failures in forked] == [
-        (corr.tobytes(), failures) for corr, failures in serial]
-    assert [len(corr) for corr, _ in forked] == [8, 4]
-    assert forked[0][1] == [None] * 6 + ["zero variance in a resampled column", None]
+    assert halves == [(4, 8), (2, 4)]  # this process computed the front halves alone
+    assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
+    assert forked[1] == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     fits = point_fits(data, spec)
     serial = on_one_cpu(monkeypatch, lambda: resample.bootstrap(data, spec, 100, seed=2, **fits))
     boot = resample.bootstrap(data, spec, 100, seed=2, **fits)
@@ -775,6 +844,43 @@ def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, 
     for name in ("paths", "loadings", "cyclic_paths"):
         for key, stats in getattr(boot, name).items():
             assert stats.replicates.tobytes() == getattr(serial, name)[key].replicates.tobytes()
+
+
+def test_a_child_cut_off_after_one_back_half_leaves_the_serial_bits(
+        stubbed_draws, monkeypatch, forks):
+    # two chunks, so the child sends two back halves, [4, 8) and [10, 12); it
+    # promises both and writes the first alone, and this process computes both
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    set_budgets(monkeypatch, data, chunk=8, rows=64)
+    serial = on_one_cpu(monkeypatch, lambda: resample._replicate_moments(data, 2, 12))
+    pipes, real_pipe, real_half = [], os.pipe, resample._half_moments
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+
+    def first_half_only(data, seed, chunks, back, corr):
+        real_half(data, seed, chunks, back, corr)
+        halves = [corr[mid:stop] for _, mid, stop in chunks]
+        with open(pipes[-1][1], "wb", closefd=False) as out:
+            out.write(sum(half.nbytes for half in halves).to_bytes(8, "little"))
+            out.write(halves[0])
+        os._exit(0)
+
+    in_child_only(monkeypatch, resample, "_half_moments", first_half_only)
+    received, real_receive = [], resample._receive
+
+    def receive(pipe, *into):
+        received.append(real_receive(pipe, *into))
+        received.extend(part.tobytes() for part in into)
+        return received[0]
+
+    monkeypatch.setattr(resample, "_receive", receive)
+    halves = recorded_halves(monkeypatch)
+    forked = resample._replicate_moments(data, 2, 12)
+    assert len(forks) == 1
+    # the first back half came whole, and still both are computed again here
+    assert received[:2] == [False, serial[0][4:8].tobytes()]
+    assert halves == [(4, 8), (2, 4), (4, 8), (2, 4)]  # the fronts, then the backs again
+    assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
 
 
 def test_no_child_outlives_an_aborted_bootstrap(forks):
@@ -801,11 +907,11 @@ data = cyclic_data(parse_model(CYCLIC_MODEL), n=3000)
 resample._FORK_WORK = 0
 fork, pids = os.fork, []
 os.fork = lambda: pids.append(fork()) or pids[-1]
-forked = list(resample._replicate_moments(data, 3, 100))
+forked = resample._replicate_moments(data, 3, 100)
 assert len(pids) == 1
 os.sched_getaffinity = lambda pid: {0}
-serial = list(resample._replicate_moments(data, 3, 100))
-assert [c.tobytes() for c, _ in forked] == [c.tobytes() for c, _ in serial]
+serial = resample._replicate_moments(data, 3, 100)
+assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
 """
 
 
