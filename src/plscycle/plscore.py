@@ -8,10 +8,10 @@ score covariance W'RW yields the inner proxies (centroid, factorial, or path
 scheme); mode A weights are R[block, :] W e_i, mode B solves against
 R[block, block], and single-item blocks keep a fixed unit weight. Loadings
 are R[block, :] w_i / sqrt(w_i' R w_i); path coefficients are OLS on the
-score correlations, one stacked solve per predecessor count. Each replicate
-of a stack stops updating once it converges or fails, so it ends where a lone
-fit of its R would. A fit is the same on prepared data and on its moments;
-``PreparedData.score`` turns its weights into scores.
+score correlations, one stacked solve per predecessor count. A replicate of
+a stack stops updating once it converges or fails, and its products are its
+own, so it is a lone fit of its R, bit for bit. A fit is the same on prepared
+data and on its moments; ``PreparedData.score`` turns its weights into scores.
 
 All location parameters are identically zero because every column entering
 the estimator is standardized; reports list them as 0 for completeness.
@@ -86,7 +86,9 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     convergence flag. ``failures`` has one entry per replicate: one already
     set is not fitted, and a replicate that fails gets its first failure's
     message there, as a lone fit would raise it. R is read in place when it is
-    C-ordered and its columns are the model's, as in every stack built here.
+    C-ordered, its columns are the model's and no replicate has failed. Each
+    pass computes the whole stack, with products per replicate, and updates the
+    replicates neither converged nor failed: each is its lone fit, bit for bit.
     """
     if not tol > 0:  # rejects NaN too
         raise ValueError("tol must be positive")
@@ -99,10 +101,11 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         if block.mode in UNIT_MODES and hi - lo != 1:
             raise EstimationError(f"block '{block.name}' must be prepared to exactly one column")
     columns = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
-    # in C order, as a gathered copy is: a strided R changes matmul's rounding
-    in_place = corr.flags.c_contiguous and np.array_equal(columns, np.arange(corr.shape[1]))
-    r = corr if in_place else np.ascontiguousarray(corr[:, columns[:, None], columns])
-    m, q = r.shape[:2]
+    m, q, rows = len(failures), len(columns), np.flatnonzero([f is None for f in failures])
+    # the one gather, in C order: a strided R changes matmul's rounding, and a
+    # replicate failed before the fit may have a NaN R, which np.linalg.cond cannot take
+    as_is = corr.flags.c_contiguous and np.array_equal(columns, np.arange(corr.shape[1]))
+    r = corr if as_is and len(rows) == m else corr[rows[:, None, None], columns[:, None], columns]
     owner = np.repeat(np.arange(k), [hi - lo for lo, hi in bounds])  # each column's block
     cols, member = np.arange(q), np.eye(k)[owner]
     unit = np.array([block.mode in UNIT_MODES for block in spec.blocks])
@@ -116,69 +119,70 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     for count in np.unique(counts[counts > 0]):
         targets = np.flatnonzero(counts == count)
         groups.append((targets, adjacency[targets].nonzero()[1].reshape(-1, count)))
-    live = np.array([failure is None for failure in failures], bool)
+    live, active = np.ones(len(rows), bool), np.ones(len(rows), bool)  # active: live, not converged
 
-    def fail(rows: np.ndarray, bad: np.ndarray, message: str) -> None:
-        """Fail each live replicate of ``rows`` with a ``bad`` block, naming the first."""
-        hit = bad.any(1) & live[rows]
+    def fail(bad: np.ndarray, message: str) -> None:
+        """Fail each active replicate with a ``bad`` block, naming the first."""
+        hit = bad.any(1) & active
         for j, first in zip(rows[hit].tolist(), bad[hit].argmax(1).tolist()):
             failures[j] = message.format(names[first])
-        live[rows[hit]] = False
+        live[hit] = active[hit] = False
 
-    def settle(rows: np.ndarray, rr: np.ndarray, w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    def block_sums(x: np.ndarray) -> np.ndarray:
+        """Each replicate's sums of x (m, q) over each block, one product per replicate."""
+        return (np.ascontiguousarray(x)[:, None] @ member)[:, 0]
+
+    def settle(w: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """Scale to unit score variance, then orient to a non-negative loading sum."""
-        within = (rr @ (member * w[..., None]))[:, cols, owner]  # R[block, block] w
-        std = np.sqrt(np.maximum((w * within) @ member, 0.0))
+        within = (r @ (member * w[..., None]))[:, cols, owner]  # R[block, block] w
+        std = np.sqrt(np.maximum(block_sums(w * within), 0.0))
         degenerate = std <= 1e-12
-        fail(rows, degenerate & blocks, "degenerate score variance in block '{}'")
-        scale = np.where(degenerate, 1.0, std) * np.where(within @ member < 0, -1.0, 1.0)
+        fail(degenerate & blocks, "degenerate score variance in block '{}'")
+        scale = np.where(degenerate, 1.0, std) * np.where(block_sums(within) < 0, -1.0, 1.0)
         return w / scale[:, owner]
 
-    rows = np.flatnonzero(live)
-    rr = r if live.all() else r[rows]
     singular = np.zeros((len(rows), k), bool)
     for i in np.flatnonzero([block.mode == "formative" for block in spec.blocks]):
         block = np.flatnonzero(owner == i)
-        singular[:, i] = np.linalg.cond(rr[:, block[:, None], block]) > _COND_LIMIT
-    fail(rows, singular, "singular system in formative block '{}'")
-    w, iterations, converged = np.ones((m, q)), np.zeros(m, int), np.zeros(m, bool)
-    w[rows] = settle(rows, rr, w[rows], np.ones(k, bool))
+        singular[:, i] = np.linalg.cond(r[:, block[:, None], block]) > _COND_LIMIT
+    fail(singular, "singular system in formative block '{}'")
+    mode_b = r[:, formative[:, None], formative] * same
+    mode_b[singular.any(1)] = np.eye(len(formative))  # a singular one would stop the solve
+    w = settle(np.ones((len(rows), q)), np.ones(k, bool))
+    iterations, converged = np.zeros(len(rows), int), np.zeros(len(rows), bool)
 
-    for iteration in range(1, max_iter + 1):
-        active = live[rows] & ~converged[rows]
-        rows, rr = (rows, rr) if active.all() else (rows[active], rr[active])
-        if not len(rows):
-            break
-        w_mat = member * w[rows][..., None]  # block-diagonal W
-        cross = rr @ w_mat  # covariance of every column with every score
+    for iteration in range(1, max_iter + 2):  # the last pass only forms the exit's products
+        w_mat = member * w[..., None]  # block-diagonal W
+        cross = r @ w_mat  # covariance of every column with every score
         cov = w_mat.transpose(0, 2, 1) @ cross
+        if iteration > max_iter or not active.any():
+            break
         if spec.scheme == "path":
             beta, singular = _solve_groups(cov, groups)
-            fail(rows, singular, "singular system: collinear predecessors of '{}'")
+            fail(singular, "singular system: collinear predecessors of '{}'")
             e = beta + cov * adjacency.T  # and each predecessor weighs its successors
         else:
             e = (np.sign(cov) if spec.scheme == "centroid" else cov) * (adjacency + adjacency.T)
         new = (cross @ (e + alone).transpose(0, 2, 1))[:, cols, owner]  # mode A: cov with the proxy
         if len(formative):  # mode B regresses it on the block
-            a = rr[:, formative[:, None], formative] * same
-            new[:, formative] = np.linalg.solve(a, new[:, formative, None])[..., 0]
-        new = np.where(unit[owner], w[rows], settle(rows, rr, new, ~unit))
-        converged[rows] = np.abs(new - w[rows]).max(1) < tol
-        w[rows], iterations[rows] = new, iteration
+            new[:, formative] = np.linalg.solve(mode_b, new[:, formative, None])[..., 0]
+        new = np.where(unit[owner], w, settle(new, ~unit))
+        converged[active] = np.abs(new - w)[active].max(1) < tol
+        w[active], iterations[active] = new[active], iteration
+        active &= ~converged
 
-    rows = np.flatnonzero(live)
-    w_mat = member * w[rows][..., None]
-    cross = (r if live.all() else r[rows]) @ w_mat
-    cov = w_mat.transpose(0, 2, 1) @ cross
-    std = np.sqrt(np.diagonal(cov, axis1=1, axis2=2))
+    active = live  # the last pass may fail a converged replicate
+    # a failed replicate keeps its weights, and its score variance, maybe 0, is taken as 1
+    std = np.sqrt(np.where(live[:, None], np.diagonal(cov, axis1=1, axis2=2), 1.0))
     score_corr = cov / (std[:, :, None] * std[:, None, :])
     beta, singular = _solve_groups(score_corr, groups)
-    fail(rows, singular, "singular system: collinear predecessors of '{}'")
-    loadings, b, r_squared = np.zeros((m, q)), np.zeros((m, k, k)), np.zeros((m, k))
-    loadings[rows] = cross[:, cols, owner] / std[:, owner]
-    b[rows] = beta
-    r_squared[rows] = (score_corr.transpose(0, 2, 1) * beta).sum(2)
-    return w, loadings, b, r_squared, iterations, converged & live
+    fail(singular, "singular system: collinear predecessors of '{}'")
+    fitted = (w, cross[:, cols, owner] / std[:, owner], beta,
+              (score_corr.transpose(0, 2, 1) * beta).sum(2), iterations, converged & live)
+    out = tuple(np.zeros((m, *part.shape[1:]), part.dtype) for part in fitted)
+    for full, part in zip(out, fitted):
+        full[rows] = part
+    return out
 
 
 def _as_fit(spec: ModelSpec, block_index: dict[str, tuple[int, int]], stack: tuple) -> PlsFit:

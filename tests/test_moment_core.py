@@ -680,8 +680,10 @@ def test_stacked_fits_peak_near_their_stack():
     step2_spec = build_feedback_model(SimpleNamespace(constructs=spec.block_names()), spec)
     peak2 = traced_peak_bytes(lambda: cyclic._fit_step2(
         corr, weights, data.block_index, step2_spec, DEFAULT_TOL, DEFAULT_MAX_ITER, list(failures)))
-    # about 2.0 and 1.9 stacks; gathering R and padding step 2's stack made 3.7 each
-    assert peak1 / corr.nbytes < 2.75
+    # about 1.25 and 1.85 stacks (step 2's includes the stack it builds);
+    # re-gathering the live rows as replicates converged made step 1's 2.0,
+    # and gathering R and padding step 2's stack made 3.7 each
+    assert peak1 / corr.nbytes < 1.5
     assert peak2 / corr.nbytes < 2.75
 
 
@@ -782,31 +784,67 @@ def test_replicates_fit_through_the_resample_module_names(stubbed_draws, monkeyp
     assert [len(corr) for corr, _ in step2] == [100]
 
 
-@pytest.mark.parametrize("cuts", [[3, 7], [6], [3, 9]])
+def two_steps(spec, index, corr, failures, max_iter):
+    """Step 1 and then step 2 on a stack, as ``bootstrap`` runs them: both
+    ``_fit_stack`` results' parts, and ``failures`` after both."""
+    step2_spec = build_feedback_model(SimpleNamespace(constructs=spec.block_names()), spec)
+    step1 = plscore._fit_stack(corr, spec, index, DEFAULT_TOL, max_iter, failures)
+    failures[:] = [f or (None if done else "replicate weights did not converge")
+                   for f, done in zip(failures, step1[5])]
+    weights = np.ascontiguousarray(step1[0][:, slice(*index[spec.cyclic.source])])
+    step2, _ = cyclic._fit_step2(corr, weights, index, step2_spec, DEFAULT_TOL, max_iter, failures)
+    return [*step1, *step2], failures
+
+
+def assert_replicates_fit_as_alone(spec, index, corr, failures, max_iter):
+    """Each replicate of both stacked steps, bit for bit its one-replicate fit."""
+    whole, whole_failures = two_steps(spec, index, corr, list(failures), max_iter)
+    for j in range(len(corr)):
+        alone, alone_failures = two_steps(spec, index, corr[j:j + 1], failures[j:j + 1], max_iter)
+        assert alone_failures == whole_failures[j:j + 1]
+        for part, lone in zip(whole, alone, strict=True):
+            assert part[j:j + 1].tobytes() == lone.tobytes()
+    return whole
+
+
+def test_each_stacked_replicate_is_its_lone_fit_bit_for_bit():
+    # a replicate's block sums are formed per replicate, so its bits do not
+    # depend on the stack it is fitted in: as (m, q) @ (q, k) products, a
+    # one-replicate stack would take numpy's matrix-vector path and round apart
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=1000)
+    corr, failures = resample._replicate_moments(data, 2, 12)
+    assert failures == [None] * 12
+    whole = assert_replicates_fit_as_alone(spec, data.block_index, corr, failures,
+                                           DEFAULT_MAX_ITER)
+    for j in range(12):
+        stacked = plscore._as_fit(spec, data.block_index, [part[j:j + 1] for part in whole[:6]])
+        assert_same_fit(stacked, fit_pls(Moments(corr[j], data.block_index, data.columns), spec))
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(stacked_cases())
+@example((MIXED_TARGETS, 5, (2,), 0, DEFAULT_MAX_ITER))
+@example((MIXED_TARGETS, 4, (), 1, 1))
+def test_each_stacked_replicate_of_any_model_is_its_lone_fit_bit_for_bit(case):
+    doc, m, failed, seed, max_iter = case
+    spec = parse_model(doc)
+    index, corr = replicate_stack(spec, m, seed)
+    assert_replicates_fit_as_alone(spec, index, corr, failing(m, failed, corr), max_iter)
+
+
+@pytest.mark.parametrize("cuts", [[3, 7], [6], [3, 9], list(range(1, 12)), [1, 2, 11]])
 def test_a_stacked_fit_is_the_fits_of_its_slices_bit_for_bit(stubbed_draws, cuts):
     # bootstrap fits all its replicates as one stack, whatever chunks their
     # counts took. Replicate 2 has failed before the fit, 5 stops short of
-    # convergence at 6 iterations (the others take 4) and 6 has a zero variance.
-    # Each slice keeps two replicates live through both steps: with one, the
-    # fit's (m, q) @ (q, k) products become matrix-vector products, which may
-    # round differently
+    # convergence at 6 iterations (the others take 4) and 6 has a zero variance
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
-    step2_spec = point_fits(data, spec)["cyclic"].step2_spec
     corr, failures = resample._replicate_moments(data, 2, 12)
     failures[2] = "singular system: collinear predecessors of 'IU'"
-
-    def fit(corr, failures):
-        step1 = plscore._fit_stack(corr, spec, data.block_index, DEFAULT_TOL, 6, failures)
-        failures[:] = [f or (None if done else "replicate weights did not converge")
-                       for f, done in zip(failures, step1[5])]
-        weights = np.ascontiguousarray(step1[0][:, slice(*data.block_index["IU"])])
-        step2, _ = cyclic._fit_step2(corr, weights, data.block_index, step2_spec, DEFAULT_TOL, 6,
-                                     failures)
-        return [*step1, *step2], failures
-
-    whole, whole_failures = fit(corr, list(failures))
-    parts = [fit(corr[lo:hi], failures[lo:hi]) for lo, hi in zip([0, *cuts], [*cuts, 12])]
+    whole, whole_failures = two_steps(spec, data.block_index, corr, list(failures), 6)
+    parts = [two_steps(spec, data.block_index, corr[lo:hi], failures[lo:hi], 6)
+             for lo, hi in zip([0, *cuts], [*cuts, 12])]
     assert whole_failures == [f for _, part in parts for f in part]
     assert [(j, f.split(" ")[0]) for j, f in enumerate(whole_failures) if f] == [
         (2, "singular"), (5, "replicate"), (6, "zero")]
