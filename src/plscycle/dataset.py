@@ -160,7 +160,7 @@ def _plain_body_rows(path: str) -> int | None:
 def _parse_plain(path: str, width: int) -> np.ndarray | None:
     """The body as an (n, width) array, NaN for missing cells, or None to fall back.
 
-    A large body is parsed in two halves, the back one by a forked child.
+    The body is parsed in two halves, the back one by a forked child if it pays.
     """
     rows = _plain_body_rows(path)
     if rows is None or rows < 2:
@@ -170,11 +170,9 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
         with _forked(
             lambda: [_loadtxt(path, half, rows - half, width)], os.path.getsize(path) >= _FORK_BYTES
         ) as pipe:
-            if pipe is None:
-                return _loadtxt(path, 0, rows, width)
             values = np.empty((rows, width))
             values[:half] = _loadtxt(path, 0, half, width)
-            if not _receive(pipe, values[half:]):
+            if pipe is None or not _receive(pipe, values[half:]):
                 values[half:] = _loadtxt(path, half, rows - half, width)
             return values
     except ValueError:
@@ -295,12 +293,10 @@ def _payload_size(pipe) -> int | None:
     return int.from_bytes(head, "little") if len(head) == 8 else None
 
 
-def _receive(pipe, *into: np.ndarray) -> bool:
-    """Read a forked child's result into each of ``into`` in turn; True if it filled
-    them exactly."""
-    views = [memoryview(part).cast("B") for part in into]
-    return (_payload_size(pipe) == sum(view.nbytes for view in views)
-            and all(pipe.readinto(view) == view.nbytes for view in views))
+def _receive(pipe, into: np.ndarray) -> bool:
+    """Read a forked child's result into the C-ordered ``into``; True if it came whole."""
+    view = memoryview(into).cast("B")
+    return _payload_size(pipe) == view.nbytes and pipe.readinto(view) == view.nbytes
 
 
 def _copy(pipe, out) -> bool:
@@ -491,8 +487,8 @@ def write_table(path: str, table: RawTable) -> None:
     (missing) cell as ``NA``; an infinite value raises ValueError before the
     file is opened. The header goes through ``csv.writer``. A forked child
     formats the back half of a large body while this process writes the front
-    half, then copies the child's half to the file as it arrives; if the child
-    fails or answers short, a partial half is cut back and rewritten here.
+    half, then copies the child's half to the file as it arrives; if no child
+    ran or it answered short, a partial half is cut back and written here.
     """
     values = np.ascontiguousarray(table.values, dtype=np.float64)
     if np.isinf(values).any():
@@ -502,8 +498,8 @@ def write_table(path: str, table: RawTable) -> None:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
         handle.flush()
         with _forked(lambda: list(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES) as pipe:
-            handle.buffer.writelines(_csv_body(values if pipe is None else values[:half]))
-            if pipe is not None and not _copy(pipe, handle.buffer):
+            handle.buffer.writelines(_csv_body(values[:half]))
+            if pipe is None or not _copy(pipe, handle.buffer):
                 handle.buffer.writelines(_csv_body(values[half:]))
 
 

@@ -101,11 +101,13 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         if block.mode in UNIT_MODES and hi - lo != 1:
             raise EstimationError(f"block '{block.name}' must be prepared to exactly one column")
     columns = np.concatenate([np.arange(lo, hi) for lo, hi in bounds])
-    m, q, rows = len(failures), len(columns), np.flatnonzero([f is None for f in failures])
-    # the one gather, in C order: a strided R changes matmul's rounding, and a
-    # replicate failed before the fit may have a NaN R, which np.linalg.cond cannot take
+    m, q, live = len(failures), len(columns), np.array([f is None for f in failures])
+    # gathered in C order (a strided R changes matmul's rounding); the identity stands
+    # in for the R, maybe NaN, of a replicate failed before the fit, which np.linalg.cond
+    # cannot take: such a replicate is never active, and its results mean nothing
     as_is = corr.flags.c_contiguous and np.array_equal(columns, np.arange(corr.shape[1]))
-    r = corr if as_is and len(rows) == m else corr[rows[:, None, None], columns[:, None], columns]
+    r = corr if as_is else corr[np.arange(m)[:, None, None], columns[:, None], columns]
+    r = r if live.all() else np.where(live[:, None, None], r, np.eye(q))
     owner = np.repeat(np.arange(k), [hi - lo for lo, hi in bounds])  # each column's block
     cols, member = np.arange(q), np.eye(k)[owner]
     unit = np.array([block.mode in UNIT_MODES for block in spec.blocks])
@@ -119,12 +121,12 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     for count in np.unique(counts[counts > 0]):
         targets = np.flatnonzero(counts == count)
         groups.append((targets, adjacency[targets].nonzero()[1].reshape(-1, count)))
-    live, active = np.ones(len(rows), bool), np.ones(len(rows), bool)  # active: live, not converged
+    active = live.copy()  # live, not converged
 
     def fail(bad: np.ndarray, message: str) -> None:
         """Fail each active replicate with a ``bad`` block, naming the first."""
         hit = bad.any(1) & active
-        for j, first in zip(rows[hit].tolist(), bad[hit].argmax(1).tolist()):
+        for j, first in zip(np.flatnonzero(hit).tolist(), bad[hit].argmax(1).tolist()):
             failures[j] = message.format(names[first])
         live[hit] = active[hit] = False
 
@@ -141,15 +143,15 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         scale = np.where(degenerate, 1.0, std) * np.where(block_sums(within) < 0, -1.0, 1.0)
         return w / scale[:, owner]
 
-    singular = np.zeros((len(rows), k), bool)
+    singular = np.zeros((m, k), bool)
     for i in np.flatnonzero([block.mode == "formative" for block in spec.blocks]):
         block = np.flatnonzero(owner == i)
         singular[:, i] = np.linalg.cond(r[:, block[:, None], block]) > _COND_LIMIT
     fail(singular, "singular system in formative block '{}'")
     mode_b = r[:, formative[:, None], formative] * same
     mode_b[singular.any(1)] = np.eye(len(formative))  # a singular one would stop the solve
-    w = settle(np.ones((len(rows), q)), np.ones(k, bool))
-    iterations, converged = np.zeros(len(rows), int), np.zeros(len(rows), bool)
+    w = settle(np.ones((m, q)), np.ones(k, bool))
+    iterations, converged = np.zeros(m, int), np.zeros(m, bool)
 
     for iteration in range(1, max_iter + 2):  # the last pass only forms the exit's products
         w_mat = member * w[..., None]  # block-diagonal W
@@ -177,12 +179,8 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     score_corr = cov / (std[:, :, None] * std[:, None, :])
     beta, singular = _solve_groups(score_corr, groups)
     fail(singular, "singular system: collinear predecessors of '{}'")
-    fitted = (w, cross[:, cols, owner] / std[:, owner], beta,
-              (score_corr.transpose(0, 2, 1) * beta).sum(2), iterations, converged & live)
-    out = tuple(np.zeros((m, *part.shape[1:]), part.dtype) for part in fitted)
-    for full, part in zip(out, fitted):
-        full[rows] = part
-    return out
+    return (w, cross[:, cols, owner] / std[:, owner], beta,
+            (score_corr.transpose(0, 2, 1) * beta).sum(2), iterations, converged & live)
 
 
 def _as_fit(spec: ModelSpec, block_index: dict[str, tuple[int, int]], stack: tuple) -> PlsFit:

@@ -9,14 +9,14 @@ preventing the arbitrary orientation of composite scores from inflating the
 spread. Replicate r draws from a counter-based generator keyed by (seed, r),
 so results do not depend on execution order.
 
-The drawn rows are never copied. Chunks of replicates bound the count matrix
-only: each half of a chunk keeps its per-row draw counts as one count matrix
-C (replicates x rows) of 4-bit counts, two rows a byte; for each block of
-rows, one GEMM multiplies C, unpacked to float64, by the rows and their
-products x_i*x_j (i <= j), summing every replicate's first and second
-moments, and each covariance is then M2/n - m m', written into the
-replicate's place in the stack. Where that work pays for a fork, a forked
-child computes the back halves. A replicate with a nearly constant column, or
+The drawn rows are never copied. A forked child, where that pays, computes
+the back half of the B replicates as this process computes the front one.
+Pieces of replicates bound the count matrix only: each keeps its per-row draw
+counts as one count matrix C (replicates x rows) of 4-bit counts, two rows a
+byte; for each block of rows, one GEMM multiplies C, unpacked to float64, by
+the rows and their products x_i*x_j (i <= j), summing every replicate's first
+and second moments, and each covariance is then M2/n - m m', written into the
+replicate's place in the stack. A replicate with a nearly constant column, or
 a row drawn more than 15 times, takes the exact centred moments of
 ``_resampled_moments``, which make every zero-variance decision.
 """
@@ -39,10 +39,9 @@ from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
 
-# A chunk holds _COUNT_BUFFER_BYTES // n replicates, and each of its halves
-# packs its counts two rows a byte, so a half's count matrix takes at most a
-# quarter of this. _ROW_BLOCK_BYTES bounds one row block's products and
-# float counts (a block that stays in cache is the fastest).
+# A piece of (_COUNT_BUFFER_BYTES // n + 1) // 2 replicates packs its counts two
+# rows a byte, in about a quarter of this. _ROW_BLOCK_BYTES bounds one row block's
+# products and float counts (a block that stays in cache is the fastest).
 _COUNT_BUFFER_BYTES = 16 << 20
 _ROW_BLOCK_BYTES = 1 << 19
 
@@ -149,20 +148,20 @@ def _unpacked(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return rows[:, : hi - lo].astype(np.float64)
 
 
-def _batched_correlations(data: PreparedData, counts: np.ndarray, chunk: int,
+def _batched_correlations(data: PreparedData, counts: np.ndarray, size: int,
                           corr: np.ndarray) -> np.ndarray:
     """Write the correlation matrix of each replicate of the packed ``counts``
     into ``corr``, and return which of them hold.
 
     A replicate whose smallest column variance is not clearly above rounding
     is marked as not holding; its matrix is then meaningless. The row blocks
-    are those of a ``chunk``-replicate count matrix.
+    are those of a ``size``-replicate count matrix.
     """
     x = data.matrix
     n, p = x.shape
     upper = np.triu_indices(p)
     width = p + len(upper[0])
-    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + chunk)))
+    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + size)))
     sums = np.zeros((len(counts), width))
     block = np.empty((min(rows, n), width))
     for lo in range(0, n, rows):
@@ -182,51 +181,48 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray, chunk: int,
     return holds
 
 
-def _half_moments(data: PreparedData, seed: int, chunks: list, back: bool,
+def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: int,
                   corr: np.ndarray) -> None:
-    """Write the correlation matrices of replicates [start, mid), or [mid, stop) if
-    ``back``, of each chunk (start, mid, stop) into their rows of ``corr``; NaN where
-    one has a zero variance."""
-    n = data.matrix.shape[0]
-    # the longest half, two rows a byte
-    buffer = np.empty(((chunks[0][2] - chunks[0][0] + 1) // 2, (n + 1) // 2), np.uint8)
-    for start, mid, stop in chunks:
-        first, last = (mid, stop) if back else (start, mid)
-        counts, half = buffer[: last - first], corr[first:last]
+    """Write the correlation matrices of replicates [first, last) into their rows of
+    ``corr``, in pieces of at most (size + 1) // 2 replicates with the row blocks of a
+    ``size``-replicate count matrix; NaN where one has a zero variance."""
+    n, piece = data.matrix.shape[0], (size + 1) // 2
+    buffer = np.empty((piece, (n + 1) // 2), np.uint8)  # two rows a byte
+    for start in range(first, last, piece):
+        stop = min(start + piece, last)
+        counts, part = buffer[: stop - start], corr[start:stop]
         wide = {}
         for i in range(len(counts)):
-            drawn = np.bincount(_replicate_rng(seed, first + i).integers(0, n, size=n), minlength=n)
+            drawn = np.bincount(_replicate_rng(seed, start + i).integers(0, n, size=n), minlength=n)
             if drawn.max() > 15:  # wraps in 4 bits
                 wide[i] = drawn
             nibbles = drawn.astype(np.uint8)
             counts[i] = nibbles[0::2]
             counts[i, : n // 2] |= nibbles[1::2] << 4
-        holds = _batched_correlations(data, counts, stop - start, half)
+        holds = _batched_correlations(data, counts, size, part)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
-                    half[i] = _resampled_moments(
+                    part[i] = _resampled_moments(
                         data, wide[i] if i in wide else _unpacked(counts[i:i + 1], 0, n)[0])
                 except DataError:
-                    half[i] = np.nan
+                    part[i] = np.nan
 
 
 def _replicate_moments(data: PreparedData, seed: int, b: int) -> tuple[np.ndarray, list]:
     """The (b, p, p) stack of replicate correlation matrices in r order, and their
     failures: None, or the message of a replicate whose exact moments have a zero
-    variance. Chunks of replicates bound the count matrix; each chunk's halves are
-    two GEMMs wherever they run, so a forked child can compute the back halves as
-    this process computes the front ones."""
+    variance. Replicates [b // 2, b) are a forked child's where that pays; each half
+    takes the same pieces wherever it runs, so the bits never depend on the CPU count."""
     n, p = data.matrix.shape
-    size = max(1, min(b, _COUNT_BUFFER_BYTES // n))
-    chunks = [(lo, lo + min(size, b - lo) // 2, min(lo + size, b)) for lo in range(0, b, size)]
+    size, mid = max(1, min(b, _COUNT_BUFFER_BYTES // n)), b // 2
     corr = np.empty((b, p, p))
-    backs = [corr[mid:stop] for _, mid, stop in chunks]  # in a child, views of its own copy
+    back = corr[mid:]  # in a child, a view of its own copy
     pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
-    with _forked(lambda: _half_moments(data, seed, chunks, True, corr) or backs, pays) as pipe:
-        _half_moments(data, seed, chunks, False, corr)
-        if pipe is None or not _receive(pipe, *backs):
-            _half_moments(data, seed, chunks, True, corr)
+    with _forked(lambda: _half_moments(data, seed, mid, b, size, corr) or [back], pays) as pipe:
+        _half_moments(data, seed, 0, mid, size, corr)
+        if pipe is None or not _receive(pipe, back):
+            _half_moments(data, seed, mid, b, size, corr)
     return corr, [_ZERO_VARIANCE if failed else None for failed in np.isnan(corr[:, 0, 0])]
 
 

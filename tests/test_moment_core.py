@@ -5,7 +5,7 @@ re-standardizes every bootstrap resample, as the estimator did before it
 moved onto the indicator correlation matrix. Fits, replicate vectors and
 replicate failures must agree with it. The batched replicate moments must in
 turn agree with the exact per-replicate ``_resampled_moments``, also when the
-memory budgets split the replicates into chunks and the rows into blocks.
+memory budgets split the replicates into pieces and the rows into blocks.
 The reliability battery, which reads only R, must agree with the one that
 reads the block rows.
 """
@@ -355,12 +355,13 @@ def batched_moments(data, seed, b):
     return [DataError(failure) if failure else r for r, failure in zip(corr, failures)]
 
 
-def recorded_halves(monkeypatch):
-    """The (replicates, chunk length) of every ``_batched_correlations`` call in this process."""
+def recorded_pieces(monkeypatch):
+    """The (replicates, count buffer length) of every ``_batched_correlations`` call in
+    this process."""
     calls = []
     real = resample._batched_correlations
-    monkeypatch.setattr(resample, "_batched_correlations", lambda data, counts, chunk, corr:
-                        calls.append((len(counts), chunk)) or real(data, counts, chunk, corr))
+    monkeypatch.setattr(resample, "_batched_correlations", lambda data, counts, size, corr:
+                        calls.append((len(counts), size)) or real(data, counts, size, corr))
     return calls
 
 
@@ -386,22 +387,21 @@ def assert_same_moments(data, seed, b, tol=1e-13):
 @pytest.mark.parametrize(
     "n, chunk, rows",
     [
-        (300, 7, 16),  # 15 chunks, the last of 2; 19 row blocks, the last of 12
-        (320, 25, 16),  # 4 full chunks; rows a multiple of the block
-        (301, 100, 1),  # one chunk; one row per block
-        (150, 3, 400),  # 34 chunks, the last of 1; one block larger than n
+        (300, 7, 16),  # halves of 12 pieces of 4 and one of 2; 19 row blocks, the last of 12
+        (320, 25, 16),  # pieces of 13, 13, 13 and 11; rows a multiple of the block
+        (301, 100, 1),  # one piece a half; one row per block
+        (150, 3, 400),  # 25 pieces of 2 a half; one block larger than n
     ],
 )
 def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=n)
     set_budgets(monkeypatch, data, chunk, rows)
-    exact, halves = exact_path_counts(monkeypatch), recorded_halves(monkeypatch)
+    exact, pieces = exact_path_counts(monkeypatch), recorded_pieces(monkeypatch)
     corr, failures = resample._replicate_moments(data, seed=3, b=100)
-    lengths = [min(chunk, 100 - start) for start in range(0, 100, chunk)]
-    # the front halves of every chunk, then the back ones, all into one stack
-    assert halves == [(size // 2, size) for size in lengths] + [
-        (size - size // 2, size) for size in lengths]
+    piece = (chunk + 1) // 2
+    # the front half's pieces, then the back half's, each with a full buffer's row blocks
+    assert pieces == [(min(piece, 50 - start), chunk) for start in range(0, 50, piece)] * 2
     assert corr.shape == (100, 11, 11) and corr.flags.c_contiguous
     assert exact == [] and failures == [None] * 100
     assert_same_moments(data, seed=3, b=100)
@@ -434,19 +434,20 @@ def one_byte_correlations(data, counts, chunk):
 
 
 def one_byte_moments(data, seed, b):
-    """Every replicate's correlation matrix from one-byte counts, in the chunk
-    halves of ``_replicate_moments``; NaN where the exact path fails."""
+    """Every replicate's correlation matrix from one-byte counts, in the halves and
+    pieces of ``_replicate_moments``, each piece with the row blocks of a full count
+    buffer; NaN where the exact path fails."""
     n = data.matrix.shape[0]
     size = max(1, min(b, resample._COUNT_BUFFER_BYTES // n))
+    piece = (size + 1) // 2
     out = []
-    for start in range(0, b, size):
-        stop = min(start + size, b)
-        mid = start + (stop - start) // 2
-        for first, last in ((start, mid), (mid, stop)):
+    for half in ((0, b // 2), (b // 2, b)):
+        for first in range(*half, piece):
+            last = min(first + piece, half[1])
             drawn = np.array([
                 np.bincount(resample._replicate_rng(seed, r).integers(0, n, size=n), minlength=n)
                 for r in range(first, last)]).reshape(last - first, n)
-            corr, holds = one_byte_correlations(data, drawn.astype(np.uint8), stop - start)
+            corr, holds = one_byte_correlations(data, drawn.astype(np.uint8), size)
             for i in np.flatnonzero(~holds | (drawn.max(axis=1) > 255)):
                 try:
                     corr[i] = resample._resampled_moments(data, drawn[i])
@@ -459,9 +460,11 @@ def one_byte_moments(data, seed, b):
 @pytest.mark.parametrize(
     "n, chunk, rows",
     [
-        (301, 7, 15),  # odd n; odd row blocks, every other one starting mid-byte
+        # odd n; odd row blocks, every other one starting mid-byte; a last piece
+        # of 2 replicates, with the row blocks of 7
+        (301, 7, 15),
         (300, 10, 1),  # one row per block
-        (1001, 130, 78),  # one chunk longer than B, whose 100 set 91-row blocks; odd n
+        (1001, 130, 78),  # a buffer longer than B, whose 100 set 91-row blocks; odd n
     ],
 )
 def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chunk, rows):
@@ -477,7 +480,7 @@ def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
     # 0.28 tables) and one replicate's int64 draw and counts
     data = cyclic_data(parse_model(CYCLIC_MODEL), n=TABLE_SHAPE[0])
     corr = np.full((100, 11, 11), np.nan)
-    peak = traced_peak_tables(lambda: resample._half_moments(data, 0, [(0, 50, 100)], False, corr))
+    peak = traced_peak_tables(lambda: resample._half_moments(data, 0, 0, 50, 100, corr))
     assert not np.isnan(corr[:50]).any() and np.isnan(corr[50:]).all()
     assert peak < 0.65
 
@@ -746,9 +749,9 @@ def test_rows_drawn_past_4_bits_take_the_exact_path(stubbed_draws, monkeypatch):
     drawn = {r: np.bincount(StubbedDraw(2, r).integers(0, 1000, size=1000), minlength=1000)
              for r in (5, 6, 7, 8)}
     assert drawn[5].max() >= 300 and [drawn[r].max() for r in (6, 7, 8)] == [1000, 15, 16]
-    # the front halves [4, 6) and [8, 10) run first; the replicate whose
-    # busiest row is drawn 15 times stays batched
-    assert [counts.tolist() for counts in exact] == [drawn[r].tolist() for r in (5, 8, 6)]
+    # the front half [0, 6) runs first; the replicate whose busiest row is
+    # drawn 15 times stays batched
+    assert [counts.tolist() for counts in exact] == [drawn[r].tolist() for r in (5, 6, 8)]
     assert failures == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     assert_same_moments(data, seed=2, b=12)
     assert isinstance(batched_moments(data, seed=2, b=12)[6], DataError)
@@ -859,18 +862,18 @@ def on_one_cpu(monkeypatch, work):
 
 
 def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, forks):
-    # chunks of 8: [0, 8) and a ragged [8, 12); the child's halves are [4, 8)
-    # and [10, 12), so the row drawn 300 times (replicate 5) and the
-    # zero-variance replicate (6) are both the child's
+    # pieces of 4 from a count buffer of 8: the child's half [6, 12) takes
+    # [6, 10) and a ragged [10, 12), so the zero-variance replicate (6) and the
+    # row drawn 16 times (replicate 8) are both the child's
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=8, rows=64)
     serial = on_one_cpu(monkeypatch, lambda: resample._replicate_moments(data, 2, 12))
     assert forks == []
-    halves = recorded_halves(monkeypatch)
+    pieces = recorded_pieces(monkeypatch)
     forked = resample._replicate_moments(data, 2, 12)
     assert len(forks) == 1
-    assert halves == [(4, 8), (2, 4)]  # this process computed the front halves alone
+    assert pieces == [(4, 8), (2, 8)]  # this process computed the front half alone
     assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
     assert forked[1] == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     fits = point_fits(data, spec)
@@ -884,10 +887,10 @@ def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, 
             assert stats.replicates.tobytes() == getattr(serial, name)[key].replicates.tobytes()
 
 
-def test_a_child_cut_off_after_one_back_half_leaves_the_serial_bits(
+def test_a_child_cut_off_partway_through_its_half_leaves_the_serial_bits(
         stubbed_draws, monkeypatch, forks):
-    # two chunks, so the child sends two back halves, [4, 8) and [10, 12); it
-    # promises both and writes the first alone, and this process computes both
+    # the child's half is [6, 12), in pieces [6, 10) and [10, 12); it promises
+    # all of it and writes [6, 10) alone, and this process computes the half again
     spec = parse_model(CYCLIC_MODEL)
     data = cyclic_data(spec, n=1000)
     set_budgets(monkeypatch, data, chunk=8, rows=64)
@@ -895,29 +898,28 @@ def test_a_child_cut_off_after_one_back_half_leaves_the_serial_bits(
     pipes, real_pipe, real_half = [], os.pipe, resample._half_moments
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
 
-    def first_half_only(data, seed, chunks, back, corr):
-        real_half(data, seed, chunks, back, corr)
-        halves = [corr[mid:stop] for _, mid, stop in chunks]
+    def first_piece_only(data, seed, first, last, size, corr):
+        real_half(data, seed, first, last, size, corr)
         with open(pipes[-1][1], "wb", closefd=False) as out:
-            out.write(sum(half.nbytes for half in halves).to_bytes(8, "little"))
-            out.write(halves[0])
+            out.write(corr[first:last].nbytes.to_bytes(8, "little"))
+            out.write(corr[first:first + 4])
         os._exit(0)
 
-    in_child_only(monkeypatch, resample, "_half_moments", first_half_only)
+    in_child_only(monkeypatch, resample, "_half_moments", first_piece_only)
     received, real_receive = [], resample._receive
 
-    def receive(pipe, *into):
-        received.append(real_receive(pipe, *into))
-        received.extend(part.tobytes() for part in into)
+    def receive(pipe, into):
+        received.extend([real_receive(pipe, into), into.tobytes()])
         return received[0]
 
     monkeypatch.setattr(resample, "_receive", receive)
-    halves = recorded_halves(monkeypatch)
+    pieces = recorded_pieces(monkeypatch)
     forked = resample._replicate_moments(data, 2, 12)
     assert len(forks) == 1
-    # the first back half came whole, and still both are computed again here
-    assert received[:2] == [False, serial[0][4:8].tobytes()]
-    assert halves == [(4, 8), (2, 4), (4, 8), (2, 4)]  # the fronts, then the backs again
+    # the first piece came whole, and still the whole half is computed again here
+    assert received[0] is False
+    assert received[1][: serial[0][6:10].nbytes] == serial[0][6:10].tobytes()
+    assert pieces == [(4, 8), (2, 8), (4, 8), (2, 8)]  # the front half, then the back again
     assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
 
 
