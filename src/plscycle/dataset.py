@@ -132,8 +132,9 @@ def _read_header(reader, path: str) -> tuple[str, ...]:
     return header
 
 
-def _plain_body_rows(path: str) -> int | None:
-    """Body line count, or None if the body has a quote, a CR or a blank line.
+def _plain_body_rows(path: str) -> tuple[int, int, int] | None:
+    """Body line count and the byte offsets where body lines 0 and count // 2 begin,
+    or None if the body has fewer than two lines, a quote, a CR or a blank line.
 
     A quote in the header could span lines, so it sends the whole file to the
     row-by-row reader. So does a blank body line: ``np.loadtxt`` skips it,
@@ -143,7 +144,7 @@ def _plain_body_rows(path: str) -> int | None:
         first = handle.readline()
         if b'"' in first or b"\r" in first:
             return None
-        lines, last = 0, b"\n"
+        last, starts, seen = b"\n", [], [0]  # each chunk's offset; the newlines before it
         for chunk in iter(lambda: handle.read(1 << 20), b""):
             # named, not an inline temporary: that took ten times the page faults
             joined = last + chunk
@@ -152,60 +153,73 @@ def _plain_body_rows(path: str) -> int | None:
             ends = np.flatnonzero(np.frombuffer(joined, np.uint8) == ord("\n"))
             if (np.diff(ends) == 1).any():
                 return None
-            lines += len(ends) - (last == b"\n")
+            starts.append(handle.tell() - len(chunk))
+            seen.append(seen[-1] + len(ends) - (last == b"\n"))
             last = chunk[-1:]
-    return lines + (last != b"\n")  # a last line may lack its newline
+        rows = seen[-1] + (last != b"\n")  # a last line may lack its newline
+        if rows < 2:
+            return None
+        # body line rows // 2 begins after the newline of that number: read its chunk again
+        # (a list of every newline's offset would leave the heap about 2 MB larger)
+        i = int(np.searchsorted(seen, rows // 2)) - 1
+        handle.seek(starts[i])
+        ends = np.flatnonzero(np.frombuffer(handle.read(1 << 20), np.uint8) == ord("\n"))
+    return rows, len(first), starts[i] + int(ends[rows // 2 - 1 - seen[i]]) + 1
 
 
 def _parse_plain(path: str, width: int) -> np.ndarray | None:
     """The body as an (n, width) array, NaN for missing cells, or None to fall back.
 
-    The body is parsed in two halves, the back one by a forked child if it pays.
+    Where a forked child pays, it parses the back half of the body as this process
+    parses the front; otherwise this process parses the body whole.
     """
-    rows = _plain_body_rows(path)
-    if rows is None or rows < 2:
+    scan = _plain_body_rows(path)
+    if scan is None:
         return None
+    rows, front, back = scan
     half = rows // 2
     try:
         with _forked(
-            lambda: [_loadtxt(path, half, rows - half, width)], os.path.getsize(path) >= _FORK_BYTES
+            lambda: [_loadtxt(path, back, rows - half, width)], os.path.getsize(path) >= _FORK_BYTES
         ) as pipe:
+            if pipe is None:  # one parse, not two halves copied into a third array
+                return _loadtxt(path, front, rows, width)
             values = np.empty((rows, width))
-            values[:half] = _loadtxt(path, 0, half, width)
-            if pipe is None or not _receive(pipe, values[half:]):
-                values[half:] = _loadtxt(path, half, rows - half, width)
+            values[:half] = _loadtxt(path, front, half, width)
+            if not _receive(pipe, values[half:]):
+                values[half:] = _loadtxt(path, back, rows - half, width)
             return values
     except ValueError:
         return None
 
 
-def _loadtxt(path: str, skip: int, rows: int, width: int) -> np.ndarray:
-    """Body lines ``skip`` to ``skip + rows`` of a plain file; NaN marks a missing cell.
+def _loadtxt(path: str, start: int, rows: int, width: int) -> np.ndarray:
+    """``rows`` lines of a plain file's body from the byte ``start`` at which one
+    begins; NaN marks a missing cell.
 
-    ``np.loadtxt`` reads the path itself first, as a decoded copy of the body
-    would take four bytes per character. It also takes ``nan`` and ``inf``, so
-    that stands only if every value is finite. Failing that, the lines are read
-    again through ``_missing_as_nan``, and stand only if no value is infinite.
-    Raises ValueError unless every line gave a row of ``width`` values
+    ``np.loadtxt`` reads the lines as they are first, decoding one at a time, as a
+    decoded copy of the body would take four bytes per character. It also takes
+    ``nan`` and ``inf``, so that stands only if every value is finite. Failing that,
+    the lines are read again through ``_missing_as_nan``, and stand only if no value
+    is infinite. Raises ValueError unless every line gave a row of ``width`` values
     (``max_rows`` counts rows, not lines: the plain scan declines blank lines).
     """
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), open(path, "rb") as handle:
         # loadtxt warns of lines with no data; the shape check rejects them
         warnings.simplefilter("ignore", UserWarning)
+        handle.seek(start)
         try:
             values = np.loadtxt(
-                path, delimiter=",", skiprows=1 + skip, max_rows=rows, ndmin=2,
-                comments=None, encoding="utf-8-sig",
+                handle, delimiter=",", max_rows=rows, ndmin=2, comments=None, encoding="utf-8"
             )
             if not np.isfinite(values).all():
                 raise ValueError("a nan or inf cell")
         except ValueError:
-            with open(path, "rb") as handle:
-                lines = itertools.islice(handle, 1 + skip, 1 + skip + rows)
-                values = np.loadtxt(
-                    map(_missing_as_nan, lines), delimiter=",", ndmin=2,
-                    comments=None, encoding="utf-8",
-                )
+            handle.seek(start)
+            values = np.loadtxt(
+                map(_missing_as_nan, itertools.islice(handle, rows)), delimiter=",", ndmin=2,
+                comments=None, encoding="utf-8",
+            )
             if np.isinf(values).any():
                 raise ValueError("an infinite cell")
     if values.shape != (rows, width):

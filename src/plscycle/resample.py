@@ -10,7 +10,8 @@ spread. Replicate r draws from a counter-based generator keyed by (seed, r),
 so results do not depend on execution order.
 
 The drawn rows are never copied. A forked child, where that pays, computes
-the back half of the B replicates as this process computes the front one.
+the back half of the B replicates as this process computes the front one;
+both run one BLAS thread, and the caller's count is restored after.
 Pieces of replicates bound the count matrix only: each keeps its per-row draw
 counts as one count matrix C (replicates x rows) of 4-bit counts, two rows a
 byte; for each block of rows, one GEMM multiplies C, unpacked to float64, by
@@ -23,10 +24,15 @@ a row drawn more than 15 times, takes the exact centred moments of
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import glob
 import math
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -48,6 +54,8 @@ _ROW_BLOCK_BYTES = 1 << 19
 # A forked child computes half the replicate moments where they take this many
 # multiply-adds; on a 2-vCPU Xeon the fork broke even at 0.8e8 to 1.6e8
 _FORK_WORK = 2e8
+# the variables from which a BLAS takes its thread count as it loads
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # A replicate goes to the exact path when a column's batched variance is at
 # or below this share of max(its mean square, 1). The batched variance sums
@@ -168,7 +176,13 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray, size: int,
         xb = x[lo:lo + rows]
         zb = block[: len(xb)]
         zb[:, :p] = xb
-        np.multiply(xb[:, upper[0]], xb[:, upper[1]], out=zb[:, p:])
+        # the products are formed a column pair to a row, which the gathers copy whole;
+        # the GEMM still reads them C-ordered, as OpenBLAS's small-matrix kernels
+        # round a transposed operand differently
+        xt = np.ascontiguousarray(xb.T)
+        pairs = xt[upper[0]]
+        pairs *= xt[upper[1]]
+        zb[:, p:] = pairs.T
         sums += _unpacked(counts, lo, lo + len(xb)) @ zb
     sums /= n
     corr[:, upper[0], upper[1]] = corr[:, upper[1], upper[0]] = sums[:, p:]
@@ -199,6 +213,7 @@ def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: in
             nibbles = drawn.astype(np.uint8)
             counts[i] = nibbles[0::2]
             counts[i, : n // 2] |= nibbles[1::2] << 4
+            del drawn, nibbles  # before the next draw; wide keeps its own reference
         holds = _batched_correlations(data, counts, size, part)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
@@ -207,6 +222,38 @@ def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: in
                         data, wide[i] if i in wide else _unpacked(counts[i:i + 1], 0, n)[0])
                 except DataError:
                     part[i] = np.nan
+
+
+@cache
+def _blas_thread_calls():
+    """The get and set thread-count calls of the OpenBLAS in numpy's wheel, or None
+    where numpy has none. Their library's path is private to the wheel."""
+    libs = os.path.join(glob.escape(os.path.dirname(np.__file__)), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        with contextlib.suppress(OSError, AttributeError):
+            lib = ctypes.CDLL(path)  # numpy's own copy, already loaded
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one BLAS thread and give the caller back its count after; yield
+    whether BLAS runs one thread in it, which without numpy's OpenBLAS only the
+    environment can say. Beside a forked child, BLAS threads spin against it (on two
+    CPUs the paper-shape B = 500 took several times as long), and the GEMMs' bits
+    depend on their count."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield any(os.environ.get(name) == "1" for name in _BLAS_THREAD_VARIABLES)
+        return
+    get, put = calls
+    before = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(before)
 
 
 def _replicate_moments(data: PreparedData, seed: int, b: int) -> tuple[np.ndarray, list]:
@@ -219,7 +266,9 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> tuple[np.ndarra
     corr = np.empty((b, p, p))
     back = corr[mid:]  # in a child, a view of its own copy
     pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
-    with _forked(lambda: _half_moments(data, seed, mid, b, size, corr) or [back], pays) as pipe:
+    with _one_blas_thread() as single, _forked(
+        lambda: _half_moments(data, seed, mid, b, size, corr) or [back], pays and single
+    ) as pipe:
         _half_moments(data, seed, 0, mid, size, corr)
         if pipe is None or not _receive(pipe, back):
             _half_moments(data, seed, mid, b, size, corr)

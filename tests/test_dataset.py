@@ -224,8 +224,12 @@ def test_missing_cells_take_the_vectorized_parse_and_bad_cells_the_row_reader(
 
 
 def test_plain_scan_declines_quotes_crs_and_blank_lines(tmp_path):
-    assert dataset._plain_body_rows(write(tmp_path, "NA_a,b\n1,2\n3,4")) == 2
-    assert dataset._plain_body_rows(write(tmp_path, "a,b\n1,NA\n,4\n")) == 2
+    # the body's line count, and the offsets of its first line and of line count // 2
+    assert dataset._plain_body_rows(write(tmp_path, "NA_a,b\n1,2\n3,4")) == (2, 7, 11)
+    assert dataset._plain_body_rows(write(tmp_path, "a,b\n1,NA\n,4\n")) == (2, 4, 9)
+    # line 5 of 10 begins in the second 1 MiB read, after a first one with no newline
+    text = "a\n" + "1" * (3 << 19) + "\n" + "2\n" * 9
+    assert dataset._plain_body_rows(write(tmp_path, text, name="long.csv")) == (10, 2, len(text) - 10)
     for body in ('1,"2"\n', "1,2\r\n", "1,2\n\n3,4\n"):
         assert dataset._plain_body_rows(write(tmp_path, "a,b\n" + body)) is None
     # the first read chunk (1 MiB) ends between the two newlines of a blank line
@@ -425,7 +429,7 @@ def test_forked_parse_of_a_middle_line_at_a_scan_chunk_boundary(tmp_path, forks,
     assert len(forks) == 1
 
 
-def short_result(path, skip, rows, width):
+def short_result(path, start, rows, width):
     return np.zeros((rows - 1, width))
 
 
@@ -457,6 +461,36 @@ def test_no_fork_on_one_cpu_or_without_os_fork(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.delattr(os, "fork")
     assert load_or_message(load_table, path) == expected
+
+
+@pytest.mark.filterwarnings("error")
+def test_one_cpu_parses_the_body_whole_from_its_first_line(tmp_path, monkeypatch, forks):
+    # the body holds an NA, so this process parses it twice, the second time
+    # through _missing_as_nan; no parse skips body lines
+    lines = [f"{i}.5,{-i}" for i in range(1001)]
+    lines[700] = "NA,7"
+    path = write(tmp_path, table_text(lines))
+    forked = load_table(path).values
+    assert len(forks) == 1
+    calls, real = [], np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(
+        (kwargs.get("skiprows", 0), kwargs.get("max_rows"))) or real(*args, **kwargs))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = load_table(path).values
+    assert len(forks) == 1 and calls == [(0, 1001), (0, None)]
+    assert serial.tobytes() == forked.tobytes() == dataset._load_rows(path).values.tobytes()
+
+
+def test_a_one_cpu_parse_peaks_below_a_table_and_a_quarter(tmp_path, monkeypatch):
+    # the table and numpy's parse buffers; two halves copied into a third array
+    # took 1.57 tables
+    values = np.random.default_rng(0).standard_normal(TABLE_SHAPE)
+    path = str(tmp_path / "data.csv")
+    write_table(path, RawTable(tuple(f"x{j}" for j in range(TABLE_SHAPE[1])), values))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    got = []
+    assert traced_peak_tables(lambda: got.append(load_table(path).values)) < 1.25
+    assert got[0].tobytes() == values.tobytes()
 
 
 def test_standardize_column_closed_form():

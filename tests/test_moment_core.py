@@ -11,6 +11,7 @@ reads the block rows.
 """
 
 import dataclasses
+import json
 import os
 import re
 import subprocess
@@ -41,7 +42,7 @@ from plscycle import (
     prepare_blocks,
     resample,
 )
-from plscycle.dataset import Moments
+from plscycle.dataset import Moments, RawTable, write_table
 from plscycle.modelspec import MODES, SCHEMES, UNIT_MODES
 from plscycle.plscore import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -465,11 +466,14 @@ def one_byte_moments(data, seed, b):
         (301, 7, 15),
         (300, 10, 1),  # one row per block
         (1001, 130, 78),  # a buffer longer than B, whose 100 set 91-row blocks; odd n
+        # the wide survey's 2,000 rows of 33 prepared columns: a GEMM 594 columns wide,
+        # whose bits could depend on that width; a last block of 2 rows
+        pytest.param(None, 30, 37, id="wide-30-37"),
     ],
 )
 def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chunk, rows):
     spec = parse_model(CYCLIC_MODEL)
-    data = cyclic_data(spec, n=n)
+    data = wide_data()[1] if n is None else cyclic_data(spec, n=n)
     set_budgets(monkeypatch, data, chunk, rows)
     got, _ = resample._replicate_moments(data, seed=5, b=100)
     assert np.array_equal(got, one_byte_moments(data, seed=5, b=100), equal_nan=True)
@@ -477,12 +481,13 @@ def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chu
 
 def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
     # beside the prepared matrix: the half's 4-bit counts (50 x n/2 bytes,
-    # 0.28 tables) and one replicate's int64 draw and counts
+    # 0.28 tables), and one replicate's int64 draw and its counts (0.09 each),
+    # as the last replicate's counts are freed before the next draw
     data = cyclic_data(parse_model(CYCLIC_MODEL), n=TABLE_SHAPE[0])
     corr = np.full((100, 11, 11), np.nan)
     peak = traced_peak_tables(lambda: resample._half_moments(data, 0, 0, 50, 100, corr))
     assert not np.isnan(corr[:50]).any() and np.isnan(corr[50:]).all()
-    assert peak < 0.65
+    assert peak < 0.5
 
 
 def padded_step2(corr, weights, block_index, step2_spec, tol, max_iter, failures):
@@ -941,28 +946,76 @@ import numpy as np
 sys.path[:0] = sys.argv[1:3]
 from plscycle import parse_model, resample
 from test_moment_core import CYCLIC_MODEL, cyclic_data
+get, put = resample._blas_thread_calls()
 a = np.random.default_rng(0).standard_normal((600, 600))
 a @ a  # large enough for OpenBLAS to run its threads before the fork
 data = cyclic_data(parse_model(CYCLIC_MODEL), n=3000)
 resample._FORK_WORK = 0
-fork, pids = os.fork, []
+fork, pids, half = os.fork, [], resample._half_moments
 os.fork = lambda: pids.append(fork()) or pids[-1]
+
+def recorded(*args):
+    # each half's process and BLAS thread count; a child leaves by os._exit, unflushed
+    os.write(1, f"{os.getpid()} {get()}\\n".encode())
+    half(*args)
+
+resample._half_moments = recorded
 forked = resample._replicate_moments(data, 3, 100)
-assert len(pids) == 1
+assert len(pids) == 1 and get() == 2
+put(3)  # a caller's own count
 os.sched_getaffinity = lambda pid: {0}
 serial = resample._replicate_moments(data, 3, 100)
+assert get() == 3
 assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
+print(os.getpid(), pids[0])
 """
 
 
 def test_the_forked_bootstrap_runs_beside_blas_threads():
+    # both processes run their halves at one BLAS thread, whatever the caller's
     if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2 or not hasattr(os, "fork"):
         pytest.skip("needs os.fork and two CPUs")
+    if resample._blas_thread_calls() is None:
+        pytest.skip("needs numpy's bundled OpenBLAS")
     tests = str(Path(__file__).resolve().parent)
     src = str(Path(resample.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-    subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, src, tests], env=env, check=True,
-                   timeout=120)
+    done = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, src, tests], env=env,
+                          check=True, timeout=120, capture_output=True, text=True)
+    *halves, (parent, child) = [line.split() for line in done.stdout.splitlines()]
+    assert sorted(halves) == sorted([[parent, "1"], [child, "1"], [parent, "1"], [parent, "1"]])
+
+
+def test_a_report_is_the_same_at_any_blas_thread_count(tmp_path):
+    # the moments' GEMMs thread at this size: before they ran at one BLAS thread,
+    # 29 of the JSON report's bootstrap values differed in their last bits here
+    # between one OpenBLAS thread and two
+    spec = parse_model(CYCLIC_MODEL)
+    data = cyclic_data(spec, n=2000)
+    write_table(str(tmp_path / "data.csv"), RawTable(data.columns, data.matrix))
+    (tmp_path / "model.json").write_text(json.dumps(CYCLIC_MODEL), encoding="utf-8")
+    src = str(Path(resample.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "plscycle.cli", "cyclic", "--model", str(tmp_path / "model.json"),
+            "--data", str(tmp_path / "data.csv"), "--bootstrap", "100", "--seed", "1",
+            "--format", "both"]
+    one, two = (subprocess.run(argv, check=True, timeout=120, capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+                               ).stdout for threads in ("1", "2"))
+    assert one == two
+
+
+@pytest.mark.parametrize("threads, forked", [(None, 0), ("2", 0), ("1", 1)])
+def test_a_blas_that_cannot_be_set_forks_only_where_the_environment_pins_one_thread(
+        monkeypatch, forks, threads, forked):
+    monkeypatch.setattr(resample, "_blas_thread_calls", lambda: None)
+    for name in resample._BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    if threads is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+    data = cyclic_data(parse_model(CYCLIC_MODEL), n=200)
+    got = resample._replicate_moments(data, 3, 100)
+    assert len(forks) == forked
+    assert got[0].tobytes() == one_byte_moments(data, seed=3, b=100).tobytes()
 
 
 def reference_failures(data, spec, **kwargs):
