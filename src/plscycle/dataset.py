@@ -180,7 +180,8 @@ def _parse_plain(path: str, width: int) -> np.ndarray | None:
     half = rows // 2
     try:
         with _forked(
-            lambda: [_loadtxt(path, back, rows - half, width)], os.path.getsize(path) >= _FORK_BYTES
+            lambda: [_loadtxt(path, back, rows - half, width)],
+            os.path.getsize(path) >= _FORK_BYTES and _two_cpus(),
         ) as pipe:
             if pipe is None:  # one parse, not two halves copied into a third array
                 return _loadtxt(path, front, rows, width)
@@ -255,16 +256,11 @@ def _forked(work, pays: bool):
     total length (8 bytes, little-endian) and each one's bytes in turn, and
     the caller reads no more than that length. A child that fails writes less
     than it promised, or nothing.
-    No child runs, and the pipe is None, unless the fork ``pays``, on fewer
-    than two CPUs, or where the fork fails. In each of these cases the caller
-    does the child's share itself. Leaving the block reaps the child.
+    No child runs, and the pipe is None, unless the fork ``pays``, or where the
+    fork fails. In each of these cases the caller does the child's share itself.
+    Leaving the block reaps the child.
     """
-    if (
-        not pays
-        or not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or len(os.sched_getaffinity(0)) < 2
-    ):
+    if not pays or not hasattr(os, "fork"):
         yield None
         return
     read_fd, write_fd = os.pipe()
@@ -299,6 +295,11 @@ def _forked(work, pays: bool):
     finally:
         os.kill(pid, signal.SIGKILL)  # a no-op on a child that has exited
         os.waitpid(pid, 0)
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs, as a fork for a second CPU needs."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _payload_size(pipe) -> int | None:
@@ -511,7 +512,8 @@ def write_table(path: str, table: RawTable) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         csv.writer(handle, lineterminator="\n").writerow(table.header)
         handle.flush()
-        with _forked(lambda: list(_csv_body(values[half:])), values.nbytes >= _FORK_BYTES) as pipe:
+        with _forked(lambda: list(_csv_body(values[half:])),
+                     values.nbytes >= _FORK_BYTES and _two_cpus()) as pipe:
             handle.buffer.writelines(_csv_body(values[:half]))
             if pipe is None or not _copy(pipe, handle.buffer):
                 handle.buffer.writelines(_csv_body(values[half:]))

@@ -12,21 +12,21 @@ so results do not depend on execution order.
 The drawn rows are never copied. A forked child, where that pays, computes
 the back half of the B replicates as this process computes the front one;
 both run one BLAS thread, and the caller's count is restored after.
-Pieces of replicates bound the count matrix only: each keeps its per-row draw
-counts as one count matrix C (replicates x rows) of 4-bit counts, two rows a
-byte; for each block of rows, one GEMM multiplies C, unpacked to float64, by
-the rows and their products x_i*x_j (i <= j), summing every replicate's first
-and second moments, and each covariance is then M2/n - m m', written into the
-replicate's place in the stack. A replicate with a nearly constant column, or
-a row drawn more than 15 times, takes the exact centred moments of
-``_resampled_moments``, which make every zero-variance decision.
+Each piece of replicates keeps its per-row draw counts as one count matrix C
+(replicates x rows) of 4-bit counts, two rows a byte; for each block of rows,
+sized with the piece's unpacked counts, one GEMM multiplies C, unpacked to
+float64 by one table lookup, by the rows and their products x_i*x_j (i <= j),
+summing every replicate's first and second moments, and each covariance is
+then M2/n - m m', written into the replicate's place in the stack. A replicate
+with a nearly constant column, or a row drawn more than 15 times, takes the
+exact centred moments of ``_resampled_moments``, which make every zero-variance
+decision.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import glob
 import math
 import os
 import re
@@ -37,7 +37,7 @@ from functools import cache
 import numpy as np
 
 from .cyclic import CyclicFit, _fit_step2
-from .dataset import PreparedData, _forked, _receive
+from .dataset import PreparedData, _forked, _receive, _two_cpus
 from .errors import DataError, EstimationError
 from .modelspec import ModelSpec
 from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
@@ -45,11 +45,13 @@ from .plscore import DEFAULT_MAX_ITER, DEFAULT_TOL, PlsFit, _fit_stack
 MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
 
-# A piece of (_COUNT_BUFFER_BYTES // n + 1) // 2 replicates packs its counts two
-# rows a byte, in about a quarter of this. _ROW_BLOCK_BYTES bounds one row block's
-# products and float counts (a block that stays in cache is the fastest).
-_COUNT_BUFFER_BYTES = 16 << 20
+# A piece of replicates packs its counts two rows a byte in at most
+# _COUNT_BUFFER_BYTES. _ROW_BLOCK_BYTES bounds one row block's products and the
+# piece's float counts of its rows (a block that stays in cache is the fastest).
+_COUNT_BUFFER_BYTES = 4 << 20
 _ROW_BLOCK_BYTES = 1 << 19
+# the low and high 4 bits of each byte, as float64 counts
+_NIBBLES = np.stack([np.arange(256) & 15, np.arange(256) >> 4], axis=1).astype(np.float64)
 
 # A forked child computes half the replicate moments where they take this many
 # multiply-adds; on a 2-vCPU Xeon the fork broke even at 0.8e8 to 1.6e8
@@ -148,28 +150,22 @@ def _resampled_moments(data: PreparedData, counts: np.ndarray) -> np.ndarray:
 def _unpacked(counts: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """The float64 counts of rows [lo, hi) of each replicate of ``counts``,
     which holds row 2j in the low and row 2j+1 in the high 4 bits of byte j."""
-    pairs = counts[:, lo // 2:(hi + 1) // 2]
-    nibbles = np.empty((*pairs.shape, 2), np.uint8)
-    np.bitwise_and(pairs, 15, out=nibbles[..., 0])
-    np.right_shift(pairs, 4, out=nibbles[..., 1])
-    rows = nibbles.reshape(len(counts), 2 * pairs.shape[1])[:, lo % 2:]
-    return rows[:, : hi - lo].astype(np.float64)
+    rows = _NIBBLES.take(counts[:, lo // 2:(hi + 1) // 2], axis=0).reshape(len(counts), -1)
+    return rows[:, lo % 2:lo % 2 + hi - lo]
 
 
-def _batched_correlations(data: PreparedData, counts: np.ndarray, size: int,
-                          corr: np.ndarray) -> np.ndarray:
+def _batched_correlations(data: PreparedData, counts: np.ndarray, corr: np.ndarray) -> np.ndarray:
     """Write the correlation matrix of each replicate of the packed ``counts``
     into ``corr``, and return which of them hold.
 
     A replicate whose smallest column variance is not clearly above rounding
-    is marked as not holding; its matrix is then meaningless. The row blocks
-    are those of a ``size``-replicate count matrix.
+    is marked as not holding; its matrix is then meaningless.
     """
     x = data.matrix
     n, p = x.shape
     upper = np.triu_indices(p)
     width = p + len(upper[0])
-    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + size)))
+    rows = max(1, _ROW_BLOCK_BYTES // (8 * (width + len(counts))))
     sums = np.zeros((len(counts), width))
     block = np.empty((min(rows, n), width))
     for lo in range(0, n, rows):
@@ -195,12 +191,12 @@ def _batched_correlations(data: PreparedData, counts: np.ndarray, size: int,
     return holds
 
 
-def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: int,
-                  corr: np.ndarray) -> None:
+def _half_moments(data: PreparedData, seed: int, first: int, last: int, corr: np.ndarray) -> None:
     """Write the correlation matrices of replicates [first, last) into their rows of
-    ``corr``, in pieces of at most (size + 1) // 2 replicates with the row blocks of a
-    ``size``-replicate count matrix; NaN where one has a zero variance."""
-    n, piece = data.matrix.shape[0], (size + 1) // 2
+    ``corr``, in pieces of as many replicates as _COUNT_BUFFER_BYTES packs; NaN where
+    one has a zero variance."""
+    n = data.matrix.shape[0]
+    piece = max(1, min(last - first, _COUNT_BUFFER_BYTES // ((n + 1) // 2)))
     buffer = np.empty((piece, (n + 1) // 2), np.uint8)  # two rows a byte
     for start in range(first, last, piece):
         stop = min(start + piece, last)
@@ -214,7 +210,7 @@ def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: in
             counts[i] = nibbles[0::2]
             counts[i, : n // 2] |= nibbles[1::2] << 4
             del drawn, nibbles  # before the next draw; wide keeps its own reference
-        holds = _batched_correlations(data, counts, size, part)
+        holds = _batched_correlations(data, counts, part)
         for i in range(len(counts)):
             if i in wide or not holds[i]:
                 try:
@@ -227,12 +223,11 @@ def _half_moments(data: PreparedData, seed: int, first: int, last: int, size: in
 @cache
 def _blas_thread_calls():
     """The get and set thread-count calls of the OpenBLAS in numpy's wheel, or None
-    where numpy has none. Their library's path is private to the wheel."""
-    libs = os.path.join(glob.escape(os.path.dirname(np.__file__)), os.pardir, "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        with contextlib.suppress(OSError, AttributeError):
-            lib = ctypes.CDLL(path)  # numpy's own copy, already loaded
-            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    where numpy has none. They are looked up in numpy's extension module, whose
+    symbol search also covers the libraries it links."""
+    with contextlib.suppress(OSError, AttributeError):
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)  # already loaded
+        return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     return None
 
 
@@ -262,16 +257,16 @@ def _replicate_moments(data: PreparedData, seed: int, b: int) -> tuple[np.ndarra
     variance. Replicates [b // 2, b) are a forked child's where that pays; each half
     takes the same pieces wherever it runs, so the bits never depend on the CPU count."""
     n, p = data.matrix.shape
-    size, mid = max(1, min(b, _COUNT_BUFFER_BYTES // n)), b // 2
+    mid = b // 2
     corr = np.empty((b, p, p))
     back = corr[mid:]  # in a child, a view of its own copy
     pays = b * n * (p + p * (p + 1) // 2 + 128) >= _FORK_WORK  # a draw: ~128 of them
     with _one_blas_thread() as single, _forked(
-        lambda: _half_moments(data, seed, mid, b, size, corr) or [back], pays and single
+        lambda: _half_moments(data, seed, mid, b, corr) or [back], pays and single and _two_cpus()
     ) as pipe:
-        _half_moments(data, seed, 0, mid, size, corr)
+        _half_moments(data, seed, 0, mid, corr)
         if pipe is None or not _receive(pipe, back):
-            _half_moments(data, seed, mid, b, size, corr)
+            _half_moments(data, seed, mid, b, corr)
     return corr, [_ZERO_VARIANCE if failed else None for failed in np.isnan(corr[:, 0, 0])]
 
 

@@ -578,6 +578,7 @@ def test_no_helper_where_it_cannot_pay(tmp_path, capsys, monkeypatch, forks, why
     model, data = helper_files(tmp_path)
     if why == "one CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     elif why == "no os.fork":
         monkeypatch.delattr(os, "fork")
     elif why == "fork fails":
@@ -586,8 +587,11 @@ def test_no_helper_where_it_cannot_pay(tmp_path, capsys, monkeypatch, forks, why
         import scipy.special  # noqa: F401
     assert main(["cyclic", "--model", model, "--data", data, "--bootstrap", "100"]) == 0
     capsys.readouterr()
-    # the parse and the bootstrap alone
-    assert len(forks) == (2 if why == "scipy.special imported" else 0)
+    # the parse and the bootstrap alone, or on one CPU the tail helper alone, which
+    # keeps scipy.special out of this process rather than using a second CPU
+    assert len(forks) == {"scipy.special imported": 2, "one CPU": 1}.get(why, 0)
+    if why == "one CPU":
+        assert "scipy.special" not in sys.modules
     assert list(seen["tests"].items()) == list(in_process_tests(seen, "ce_gt_se").items())
 
 
@@ -607,6 +611,7 @@ def short_halves(*args):
 @pytest.mark.parametrize("child", [None, raises, killed, short_halves],
                          ids=["answers", "raises", "is killed", "answers short"])
 def test_a_bootstrap_child_leaves_the_one_cpu_report(tmp_path, capsys, monkeypatch, forks, child):
+    monkeypatch.delitem(sys.modules, "scipy.special", raising=False)
     model, data = helper_files(tmp_path)
     argv = ["cyclic", "--model", model, "--data", data, "--bootstrap", "150", "--seed", "11"]
     with monkeypatch.context() as serial:
@@ -615,7 +620,8 @@ def test_a_bootstrap_child_leaves_the_one_cpu_report(tmp_path, capsys, monkeypat
     if child is not None:
         in_child_only(monkeypatch, resample, "_half_moments", child)
     assert main(argv + ["--out", str(tmp_path / "forked.json")]) == 0
-    assert len(forks) == 2  # the parse and the bootstrap: the one-CPU run loaded scipy.special
+    # the one-CPU run's tail helper, then the parse, the bootstrap and the tail helper
+    assert len(forks) == 4
     assert (tmp_path / "forked.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
 
 
@@ -666,7 +672,7 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
         "assert plscycle.cli.main(['cyclic', '--model', sys.argv[3], '--data', sys.argv[2],"
         " '--bootstrap', '100', '--out', sys.argv[4]]) == 0\n"
         "seen['cyclic'] = scipy_modules()\n"
-        "os.sched_getaffinity = lambda pid: {0}  # so the tail is taken here\n"
+        "del os.fork  # so the tail is taken here\n"
         "plscycle.cyclic.reinforcement_test(0.2, 0.3, 0.01, 0.01, 100)\n"
         "seen['test'] = scipy_modules()\n"
         "print(json.dumps(seen))\n"
@@ -684,8 +690,36 @@ def test_startup_and_simulate_load_no_scipy(tmp_path):
     assert seen["cyclic"] == []
     pairs = json.loads(report.read_text())["cyclic"]["pairs"]
     assert len(pairs) == 2 and all("p" in pair for pair in pairs)
-    # on one CPU the tail probability is the first thing to need scipy, and not scipy.stats
+    # without a fork the tail probability is the first thing to need scipy, and not scipy.stats
     assert "scipy.special" in seen["test"] and "scipy.stats" not in seen["test"]
+
+
+ONE_CPU_SCRIPT = """
+import os, sys
+from plscycle import cli, dataset, resample
+dataset._FORK_BYTES = resample._FORK_WORK = 0  # every stage that can fork does
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+else:
+    os.sched_getaffinity = lambda pid: {0, 1}  # two CPUs, whatever this host has
+assert cli.main(["cyclic", "--model", sys.argv[2], "--data", sys.argv[3], "--bootstrap", "100",
+                 "--out", sys.argv[4]]) == 0
+assert "scipy.special" not in sys.modules
+"""
+
+
+def test_a_one_cpu_run_loads_no_scipy_special_and_writes_the_two_cpu_report(tmp_path):
+    if not hasattr(os, "sched_setaffinity") or not hasattr(os, "fork"):
+        pytest.skip("needs os.sched_setaffinity and os.fork")
+    pop = write_model(tmp_path, CHAIN_POPULATION, name="pop.json")
+    model, data = write_model(tmp_path, CHAIN_MODEL), str(tmp_path / "sim.csv")
+    assert main(["simulate", "--population", pop, "--out", data]) == 0
+    src = str(Path(plscycle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for cpus in ("one", "two"):
+        subprocess.run([sys.executable, "-c", ONE_CPU_SCRIPT, cpus, model, data,
+                        str(tmp_path / f"{cpus}.json")], env=env, check=True, timeout=120)
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
 
 def test_simulate_seed_flag_overrides_document(tmp_path, capsys):

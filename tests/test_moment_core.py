@@ -58,10 +58,12 @@ def max_diff(a, b):
 
 
 def set_budgets(monkeypatch, data, chunk, rows):
-    """Budgets for ``chunk`` replicates per count buffer and ``rows`` rows per block."""
+    """Budgets for pieces of (chunk + 1) // 2 replicates, half of ``chunk``, and
+    ``rows`` rows per block of a full piece."""
     n, p = data.matrix.shape
-    monkeypatch.setattr(resample, "_COUNT_BUFFER_BYTES", chunk * n)
-    monkeypatch.setattr(resample, "_ROW_BLOCK_BYTES", 8 * (p + p * (p + 1) // 2 + chunk) * rows)
+    piece = (chunk + 1) // 2
+    monkeypatch.setattr(resample, "_COUNT_BUFFER_BYTES", piece * ((n + 1) // 2))
+    monkeypatch.setattr(resample, "_ROW_BLOCK_BYTES", 8 * (p + p * (p + 1) // 2 + piece) * rows)
 
 
 def small_budgets(monkeypatch):
@@ -357,12 +359,11 @@ def batched_moments(data, seed, b):
 
 
 def recorded_pieces(monkeypatch):
-    """The (replicates, count buffer length) of every ``_batched_correlations`` call in
-    this process."""
+    """The replicates of every ``_batched_correlations`` call in this process."""
     calls = []
     real = resample._batched_correlations
-    monkeypatch.setattr(resample, "_batched_correlations", lambda data, counts, size, corr:
-                        calls.append((len(counts), size)) or real(data, counts, size, corr))
+    monkeypatch.setattr(resample, "_batched_correlations", lambda data, counts, corr:
+                        calls.append(len(counts)) or real(data, counts, corr))
     return calls
 
 
@@ -401,20 +402,20 @@ def test_chunked_moments_match_exact_moments(monkeypatch, n, chunk, rows):
     exact, pieces = exact_path_counts(monkeypatch), recorded_pieces(monkeypatch)
     corr, failures = resample._replicate_moments(data, seed=3, b=100)
     piece = (chunk + 1) // 2
-    # the front half's pieces, then the back half's, each with a full buffer's row blocks
-    assert pieces == [(min(piece, 50 - start), chunk) for start in range(0, 50, piece)] * 2
+    # the front half's pieces, then the back half's
+    assert pieces == [min(piece, 50 - start) for start in range(0, 50, piece)] * 2
     assert corr.shape == (100, 11, 11) and corr.flags.c_contiguous
     assert exact == [] and failures == [None] * 100
     assert_same_moments(data, seed=3, b=100)
 
 
-def one_byte_correlations(data, counts, chunk):
+def one_byte_correlations(data, counts):
     """``_batched_correlations`` as it was on uint8 counts, one byte a row."""
     x = data.matrix
     n, p = x.shape
     upper = np.triu_indices(p)
     width = p + len(upper[0])
-    rows = max(1, resample._ROW_BLOCK_BYTES // (8 * (width + chunk)))
+    rows = max(1, resample._ROW_BLOCK_BYTES // (8 * (width + len(counts))))
     sums = np.zeros((len(counts), width))
     block = np.empty((min(rows, n), width))
     for lo in range(0, n, rows):
@@ -436,19 +437,18 @@ def one_byte_correlations(data, counts, chunk):
 
 def one_byte_moments(data, seed, b):
     """Every replicate's correlation matrix from one-byte counts, in the halves and
-    pieces of ``_replicate_moments``, each piece with the row blocks of a full count
-    buffer; NaN where the exact path fails."""
+    pieces of ``_replicate_moments``, each piece with its own row blocks; NaN where
+    the exact path fails."""
     n = data.matrix.shape[0]
-    size = max(1, min(b, resample._COUNT_BUFFER_BYTES // n))
-    piece = (size + 1) // 2
     out = []
     for half in ((0, b // 2), (b // 2, b)):
+        piece = max(1, min(half[1] - half[0], resample._COUNT_BUFFER_BYTES // ((n + 1) // 2)))
         for first in range(*half, piece):
             last = min(first + piece, half[1])
             drawn = np.array([
                 np.bincount(resample._replicate_rng(seed, r).integers(0, n, size=n), minlength=n)
                 for r in range(first, last)]).reshape(last - first, n)
-            corr, holds = one_byte_correlations(data, drawn.astype(np.uint8), size)
+            corr, holds = one_byte_correlations(data, drawn.astype(np.uint8))
             for i in np.flatnonzero(~holds | (drawn.max(axis=1) > 255)):
                 try:
                     corr[i] = resample._resampled_moments(data, drawn[i])
@@ -462,10 +462,14 @@ def one_byte_moments(data, seed, b):
     "n, chunk, rows",
     [
         # odd n; odd row blocks, every other one starting mid-byte; a last piece
-        # of 2 replicates, with the row blocks of 7
+        # of 2 replicates
         (301, 7, 15),
+        # pieces of 4 in 79-row blocks, and a last piece of 2 in 81-row blocks
+        (301, 7, 79),
         (300, 10, 1),  # one row per block
-        (1001, 130, 78),  # a buffer longer than B, whose 100 set 91-row blocks; odd n
+        # a budget of 65 replicates a piece, above a half's 50, which set 87-row blocks;
+        # odd n
+        (1001, 130, 78),
         # the wide survey's 2,000 rows of 33 prepared columns: a GEMM 594 columns wide,
         # whose bits could depend on that width; a last block of 2 rows
         pytest.param(None, 30, 37, id="wide-30-37"),
@@ -479,13 +483,27 @@ def test_packed_counts_give_the_one_byte_moments_bit_for_bit(monkeypatch, n, chu
     assert np.array_equal(got, one_byte_moments(data, seed=5, b=100), equal_nan=True)
 
 
+# [lo, hi) at even and odd ends: all 128 rows, the first 127 (as for an odd n, whose
+# last row is its byte's low nibble alone), short runs, and one row at each end
+@pytest.mark.parametrize("lo, hi", [(0, 128), (1, 128), (0, 127), (1, 127), (2, 9), (3, 10),
+                                    (0, 1), (127, 128)])
+def test_unpacked_counts_are_the_nibbles_of_every_byte(lo, hi):
+    packed = np.random.default_rng(0).permutation(256).astype(np.uint8).reshape(4, 64)
+    nibbles = np.empty((4, 128))
+    nibbles[:, 0::2], nibbles[:, 1::2] = packed & 15, packed >> 4
+    got = resample._unpacked(packed, lo, hi)
+    assert got.dtype == np.float64 and np.array_equal(got, nibbles[:, lo:hi])
+    x = np.random.default_rng(1).standard_normal((hi - lo, 77))
+    assert (got @ x).tobytes() == (np.ascontiguousarray(got) @ x).tobytes()
+
+
 def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
-    # beside the prepared matrix: the half's 4-bit counts (50 x n/2 bytes,
-    # 0.28 tables), and one replicate's int64 draw and its counts (0.09 each),
-    # as the last replicate's counts are freed before the next draw
+    # beside the prepared matrix: a piece's 4-bit counts (41 x n/2 bytes of at
+    # most 4 MiB, 0.24 tables), and one replicate's int64 draw and its counts
+    # (0.09 each), as the last replicate's counts are freed before the next draw
     data = cyclic_data(parse_model(CYCLIC_MODEL), n=TABLE_SHAPE[0])
     corr = np.full((100, 11, 11), np.nan)
-    peak = traced_peak_tables(lambda: resample._half_moments(data, 0, 0, 50, 100, corr))
+    peak = traced_peak_tables(lambda: resample._half_moments(data, 0, 0, 50, corr))
     assert not np.isnan(corr[:50]).any() and np.isnan(corr[50:]).all()
     assert peak < 0.5
 
@@ -878,7 +896,7 @@ def test_the_forked_half_chunks_are_the_serial_bits(stubbed_draws, monkeypatch, 
     pieces = recorded_pieces(monkeypatch)
     forked = resample._replicate_moments(data, 2, 12)
     assert len(forks) == 1
-    assert pieces == [(4, 8), (2, 8)]  # this process computed the front half alone
+    assert pieces == [4, 2]  # this process computed the front half alone
     assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
     assert forked[1] == [None] * 6 + ["zero variance in a resampled column"] + [None] * 5
     fits = point_fits(data, spec)
@@ -903,8 +921,8 @@ def test_a_child_cut_off_partway_through_its_half_leaves_the_serial_bits(
     pipes, real_pipe, real_half = [], os.pipe, resample._half_moments
     monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
 
-    def first_piece_only(data, seed, first, last, size, corr):
-        real_half(data, seed, first, last, size, corr)
+    def first_piece_only(data, seed, first, last, corr):
+        real_half(data, seed, first, last, corr)
         with open(pipes[-1][1], "wb", closefd=False) as out:
             out.write(corr[first:last].nbytes.to_bytes(8, "little"))
             out.write(corr[first:first + 4])
@@ -924,7 +942,7 @@ def test_a_child_cut_off_partway_through_its_half_leaves_the_serial_bits(
     # the first piece came whole, and still the whole half is computed again here
     assert received[0] is False
     assert received[1][: serial[0][6:10].nbytes] == serial[0][6:10].tobytes()
-    assert pieces == [(4, 8), (2, 8), (4, 8), (2, 8)]  # the front half, then the back again
+    assert pieces == [4, 2, 4, 2]  # the front half, then the back again
     assert (forked[0].tobytes(), forked[1]) == (serial[0].tobytes(), serial[1])
 
 
@@ -984,6 +1002,20 @@ def test_the_forked_bootstrap_runs_beside_blas_threads():
                           check=True, timeout=120, capture_output=True, text=True)
     *halves, (parent, child) = [line.split() for line in done.stdout.splitlines()]
     assert sorted(halves) == sorted([[parent, "1"], [child, "1"], [parent, "1"], [parent, "1"]])
+
+
+def test_numpys_openblas_gives_its_thread_calls():
+    # a lookup that finds nothing would otherwise only skip the test above
+    if np.__config__.CONFIG["Build Dependencies"]["blas"]["name"] != "scipy-openblas":
+        pytest.skip("numpy is built without its bundled OpenBLAS")
+    get, put = resample._blas_thread_calls()
+    before = get()
+    put(1)
+    try:
+        assert get() == 1
+    finally:
+        put(before)
+    assert get() == before
 
 
 def test_a_report_is_the_same_at_any_blas_thread_count(tmp_path):
