@@ -8,7 +8,7 @@ score covariance W'RW yields the inner proxies (centroid, factorial, or path
 scheme); mode A weights are R[block, :] W e_i, mode B solves against
 R[block, block], and single-item blocks keep a fixed unit weight. Loadings
 are R[block, :] w_i / sqrt(w_i' R w_i); path coefficients are OLS on the
-score correlations, one stacked solve per predecessor count. A replicate of
+score correlations, one stacked solve per regressed target. A replicate of
 a stack stops updating once it converges or fails, and its products are its
 own, so it is a lone fit of its R, bit for bit. A fit is the same on prepared
 data and on its moments; ``PreparedData.score`` turns its weights into scores.
@@ -48,13 +48,11 @@ class PlsFit:
     converged: bool
 
 
-# one (targets, preds) pair of index arrays per predecessor count s: targets (g,), preds (g, s)
-_Groups = tuple[tuple[np.ndarray, np.ndarray], ...]
+def _solve_paths(corr: np.ndarray,
+                 preds: list[tuple[int, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Standardized OLS on a stack of correlation matrices, one stacked solve per target.
 
-
-def _solve_groups(corr: np.ndarray, groups: _Groups) -> tuple[np.ndarray, np.ndarray]:
-    """Standardized OLS on a stack of correlation matrices, one stacked solve per group.
-
+    ``preds`` pairs each regressed target t with its predecessors' indices.
     Returns B (m, k, k), where B[:, t, s] is the coefficient of predecessor s
     in the regression of t, and which targets' systems are singular (m, k). A
     system is singular when its condition number exceeds ``_COND_LIMIT``; a
@@ -64,15 +62,13 @@ def _solve_groups(corr: np.ndarray, groups: _Groups) -> tuple[np.ndarray, np.nda
     """
     m, k = corr.shape[:2]
     b, singular = np.zeros((m, k, k)), np.zeros((m, k), bool)
-    for targets, preds in groups:
-        g, s = preds.shape
-        a = corr[:, preds[:, :, None], preds[:, None, :]].reshape(-1, s, s)
-        finite_1x1 = s == 1 and np.isfinite(a).all()
+    for t, p in preds:
+        a = corr[:, p[:, None], p]
+        finite_1x1 = len(p) == 1 and np.isfinite(a).all()
         bad = a[:, 0, 0] == 0.0 if finite_1x1 else np.linalg.cond(a) > _COND_LIMIT
-        a[bad] = np.eye(s)
-        rhs = corr[:, preds, targets[:, None], None].reshape(-1, s, 1)
-        b[:, targets[:, None], preds] = np.linalg.solve(a, rhs).reshape(m, g, s)
-        singular[:, targets] = bad.reshape(m, g)
+        a[bad] = np.eye(len(p))
+        b[:, t, p] = np.linalg.solve(a, corr[:, p, t, None])[..., 0]
+        singular[:, t] = bad
     return b, singular
 
 
@@ -116,11 +112,7 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     # adjacency[t, s] is 1 when s precedes t; an isolated construct is its own proxy
     adjacency = np.array([[s in spec.predecessors(t) for s in names] for t in names], float)
     alone = np.diag(~(adjacency + adjacency.T).any(1) * 1.0)
-    counts = adjacency.sum(1).astype(int)
-    groups = []
-    for count in np.unique(counts[counts > 0]):
-        targets = np.flatnonzero(counts == count)
-        groups.append((targets, adjacency[targets].nonzero()[1].reshape(-1, count)))
+    preds = [(t, np.flatnonzero(row)) for t, row in enumerate(adjacency) if row.any()]
     active = live.copy()  # live, not converged
 
     def fail(bad: np.ndarray, message: str) -> None:
@@ -160,7 +152,7 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
         if iteration > max_iter or not active.any():
             break
         if spec.scheme == "path":
-            beta, singular = _solve_groups(cov, groups)
+            beta, singular = _solve_paths(cov, preds)
             fail(singular, "singular system: collinear predecessors of '{}'")
             e = beta + cov * adjacency.T  # and each predecessor weighs its successors
         else:
@@ -177,7 +169,7 @@ def _fit_stack(corr: np.ndarray, spec: ModelSpec, block_index: dict[str, tuple[i
     # a failed replicate keeps its weights, and its score variance, maybe 0, is taken as 1
     std = np.sqrt(np.where(live[:, None], np.diagonal(cov, axis1=1, axis2=2), 1.0))
     score_corr = cov / (std[:, :, None] * std[:, None, :])
-    beta, singular = _solve_groups(score_corr, groups)
+    beta, singular = _solve_paths(score_corr, preds)
     fail(singular, "singular system: collinear predecessors of '{}'")
     return (w, cross[:, cols, owner] / std[:, owner], beta,
             (score_corr.transpose(0, 2, 1) * beta).sum(2), iterations, converged & live)

@@ -46,8 +46,9 @@ MIN_REPLICATES = 100
 MAX_FAILURE_RATE = 0.05
 
 # A piece of replicates packs its counts two rows a byte in at most
-# _COUNT_BUFFER_BYTES. _ROW_BLOCK_BYTES bounds one row block's products and the
-# piece's float counts of its rows (a block that stays in cache is the fastest).
+# _COUNT_BUFFER_BYTES. _ROW_BLOCK_BYTES sizes a row block's GEMM operands, its products
+# and the piece's float counts of its rows (a block that stays in cache is the fastest);
+# forming the products and centring the moments briefly hold more (3.2 times at 33 columns).
 _COUNT_BUFFER_BYTES = 4 << 20
 _ROW_BLOCK_BYTES = 1 << 19
 # the low and high 4 bits of each byte, as float64 counts

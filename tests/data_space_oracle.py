@@ -6,7 +6,7 @@ correlations, and each bootstrap replicate re-standardizes its resampled
 rows. The differential tests hold the library to these within 1e-10. The
 reliability battery takes every block statistic from ``np.corrcoef`` of the
 block's rows. Each regression is solved on its own (``_solve_ols``), where
-the library stacks the systems with the same number of predecessors.
+the library stacks one target's systems across the replicates of a stack.
 """
 
 import math

@@ -722,6 +722,29 @@ def test_a_one_cpu_run_loads_no_scipy_special_and_writes_the_two_cpu_report(tmp_
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "two.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["fit", "cyclic"])
+def test_a_run_loads_no_numpy_ma(tmp_path, command):
+    # in a process of its own, as pytest and hypothesis may load numpy.ma themselves
+    pop = write_model(tmp_path, CHAIN_POPULATION, name="pop.json")
+    model, data = write_model(tmp_path, CHAIN_MODEL), str(tmp_path / "sim.csv")
+    assert main(["simulate", "--population", pop, "--out", data]) == 0
+    script = (
+        "import sys\n"
+        "from plscycle.cli import main\n"
+        "assert main([sys.argv[1], '--model', sys.argv[2], '--data', sys.argv[3],"
+        " '--bootstrap', '100', '--out', sys.argv[4]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+    )
+    src = str(Path(plscycle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, command, model, data, str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "report.json").read_text())["fit"]["converged"] is True
+
+
 def test_simulate_seed_flag_overrides_document(tmp_path, capsys):
     pop = write_model(tmp_path, POPULATION, name="pop.json")
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"

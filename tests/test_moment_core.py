@@ -508,6 +508,21 @@ def test_a_bootstrap_half_peaks_below_two_thirds_of_a_table():
     assert peak < 0.5
 
 
+@pytest.mark.parametrize("width, bound", [(11, 2.0), (33, 3.5)])
+def test_a_row_block_peaks_within_a_few_budgets(width, bound):
+    # _ROW_BLOCK_BYTES sizes a block's GEMM operands, its products and float
+    # counts; forming the products briefly holds more (1.87 budgets at 11
+    # columns), and the centring of 50 replicates' 33 x 33 matrices more again
+    # (3.24); neither depends on n
+    data = cyclic_data(parse_model(CYCLIC_MODEL), n=2_000) if width == 11 else wide_data()[1]
+    n, p = data.matrix.shape
+    assert p == width
+    counts = np.random.default_rng(0).integers(0, 256, (50, (n + 1) // 2), dtype=np.uint8)
+    corr = np.empty((50, p, p))
+    peak = traced_peak_bytes(lambda: resample._batched_correlations(data, counts, corr))
+    assert peak < bound * resample._ROW_BLOCK_BYTES
+
+
 def padded_step2(corr, weights, block_index, step2_spec, tol, max_iter, failures):
     """``cyclic._fit_step2`` as it was: every R padded by the score's row and
     column, which ``_fit_stack`` then gathers to the step-2 columns."""
@@ -857,6 +872,51 @@ def test_each_stacked_replicate_of_any_model_is_its_lone_fit_bit_for_bit(case):
     spec = parse_model(doc)
     index, corr = replicate_stack(spec, m, seed)
     assert_replicates_fit_as_alone(spec, index, corr, failing(m, failed, corr), max_iter)
+
+
+# targets of one, two and three predecessors
+PATH_COUNTS = {
+    "blocks": [{"name": f"C{i}", "indicators": [f"c{i}_1", f"c{i}_2"]} for i in range(4)],
+    "paths": [{"source": f"C{s}", "target": f"C{t}"} for t in range(1, 4) for s in range(t)],
+}
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(stacked_cases())
+@example((PATH_COUNTS, 5, (0, 2, 3), 0, DEFAULT_MAX_ITER))
+@example((PATH_COUNTS, 3, (), 1, DEFAULT_MAX_ITER))
+def test_each_stacked_path_regression_is_the_reference_solve_bit_for_bit(case):
+    # the constructs' first columns stand in for their scores; the i-th replicate
+    # drawn as failed makes one target's system singular instead: a lone
+    # predecessor of zero variance, or the last two predecessors identical
+    doc, m, broken, seed, _ = case
+    spec = parse_model(doc)
+    index, corr = replicate_stack(spec, m, seed)
+    names = spec.block_names()
+    firsts = [index[name][0] for name in names]
+    r = np.ascontiguousarray(corr[:, firsts][:, :, firsts])
+    preds = [(t, np.flatnonzero([s in spec.predecessors(name) for s in names]))
+             for t, name in enumerate(names) if spec.predecessors(name)]
+    for i, j in enumerate(broken if preds else ()):
+        _, p = preds[(seed + i) % len(preds)]
+        if len(p) == 1:
+            r[j, p[0], p[0]] = 0.0
+        else:
+            r[j, p[-1]], r[j, :, p[-1]] = r[j, p[-2]], r[j, :, p[-2]]
+    b, singular = plscore._solve_paths(r, preds)
+    raised, regressed = np.zeros_like(singular), np.zeros(b.shape[1:], bool)
+    for t, p in preds:
+        regressed[t, p] = True
+        for j in range(m):
+            try:
+                expected = oracle._solve_ols(r[j], list(p), t, names[t])
+            except EstimationError:
+                raised[j, t] = True
+            else:
+                assert b[j, t, p].tobytes() == expected.tobytes()
+    assert np.array_equal(singular, raised)
+    assert all(raised[j].any() for j in broken) or not preds
+    assert not b[:, ~regressed].any()
 
 
 @pytest.mark.parametrize("cuts", [[3, 7], [6], [3, 9], list(range(1, 12)), [1, 2, 11]])

@@ -332,14 +332,13 @@ def _solve_ols_always_cond(corr, pred, target, label):
     return np.linalg.solve(a, corr[pred, target])
 
 
-def _solve_each_system(corr, groups):
-    """The grouped solver as a per-system loop over the reference solver."""
+def _solve_each_system(corr, preds):
+    """The stacked solver as a per-system loop over the reference solver."""
     m, k = corr.shape[:2]
     b = np.zeros((m, k, k))
     for j in range(m):
-        for targets, preds in groups:
-            for t, p in zip(targets, preds):
-                b[j, t, p] = oracle._solve_ols(corr[j], list(p), int(t), f"C{t}")
+        for t, p in preds:
+            b[j, t, p] = oracle._solve_ols(corr[j], list(p), t, f"C{t}")
     return b, np.zeros((m, k), bool)
 
 
@@ -375,15 +374,15 @@ def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
     monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a.shape) or cond(a))
 
     fit = fit_pls(data, spec)
-    grouped_calls = list(calls)
+    stacked_calls = list(calls)
     calls.clear()
-    monkeypatch.setattr(plscore, "_solve_groups", _solve_each_system)
+    monkeypatch.setattr(plscore, "_solve_paths", _solve_each_system)
     reference = fit_pls(data, spec)
 
     assert fit.converged and fit.iterations == reference.iterations > 1
     # no 1x1 system reaches the SVD: one stacked cond for the one two-predecessor
-    # group per iteration, plus the final structural one
-    assert grouped_calls == [(1, 2, 2)] * (fit.iterations + 1)
+    # target per iteration, plus the final structural one
+    assert stacked_calls == [(1, 2, 2)] * (fit.iterations + 1)
     assert calls == [(2, 2)] * (fit.iterations + 1)
     assert fit.constructs == reference.constructs and fit.modes == reference.modes
     for name in fit.constructs:
@@ -398,17 +397,17 @@ def test_one_by_one_systems_skip_the_svd_and_fit_bitwise_the_same(monkeypatch):
 
 
 def test_zero_one_by_one_system_still_raises(monkeypatch):
-    groups = ((np.array([1]), np.array([[0]])),)
+    preds = [(1, np.array([0]))]
     corr = np.array([[0.0, 0.3], [0.3, 1.0]])
     with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
         _solve_ols_always_cond(corr, [0], 1, "Y")
     monkeypatch.setattr(np.linalg, "cond", None)  # a 1x1 system never reaches the SVD
     with pytest.raises(EstimationError, match="collinear predecessors of 'Y'"):
         oracle._solve_ols(corr, [0], 1, "Y")
-    assert plscore._solve_groups(corr[None], groups)[1].tolist() == [[False, True]]
+    assert plscore._solve_paths(corr[None], preds)[1].tolist() == [[False, True]]
     # a tiny nonzero entry has condition number 1: singular to no solver
     tiny = np.array([[5e-324, 0.5], [0.5, 1.0]])
-    b, singular = plscore._solve_groups(tiny[None], groups)
+    b, singular = plscore._solve_paths(tiny[None], preds)
     assert b[0, 1].tolist() == [np.inf, 0.0] and not singular.any()
     assert oracle._solve_ols(tiny, [0], 1, "Y").tolist() == [np.inf]
     monkeypatch.undo()
@@ -416,11 +415,9 @@ def test_zero_one_by_one_system_still_raises(monkeypatch):
 
 
 @pytest.mark.parametrize("scheme", ["path", "centroid"])
-def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(
-    scheme, monkeypatch
-):
+def test_first_declared_singular_system_is_named(scheme, monkeypatch):
     # Y3 (three predecessors) is declared before Y2 (two); both regress on the
-    # identical P1 and P2, and the two-predecessor group is solved first. The
+    # identical P1 and P2, and each target is solved in declaration order. The
     # path scheme raises in the inner weights, the centroid scheme in the paths.
     names = ("P1", "P2", "P3", "Y3", "Y2")
     spec = parse_model(
@@ -445,13 +442,13 @@ def test_first_declared_singular_system_is_named_whatever_group_is_solved_first(
     )
     data = Moments(r, {name: (i, i + 1) for i, name in enumerate(names)}, tuple(n.lower() for n in names))
     solved = []
-    real = plscore._solve_groups
+    real = plscore._solve_paths
     monkeypatch.setattr(
-        plscore, "_solve_groups", lambda c, groups: solved.append(groups) or real(c, groups)
+        plscore, "_solve_paths", lambda c, preds: solved.append(preds) or real(c, preds)
     )
     with pytest.raises(EstimationError, match="collinear predecessors of 'Y3'"):
         fit_pls(data, spec)
-    assert [targets.tolist() for targets, _ in solved[0]] == [[4], [3]]
+    assert [t for t, _ in solved[0]] == [3, 4]
 
 
 STACK_NAMES = ("A", "F", "X1", "X2", "Y")
